@@ -3,11 +3,13 @@
 Everything here is anchored to two monic bases of the polynomial ring:
 the classical falling factorials x(x-1)...(x-n+1) and their deformed
 siblings x(x-λ)...(x-(n-1)λ).  The four change-of-basis tables between
-{x^n}, {falling}, {deformed falling} are computed by exact back
-substitution (each basis is monic and graded, so conversion is a
-triangular solve with no division) and memoised row by row.
+{x^n}, {falling}, {deformed falling} all follow from the three-term
+recurrence x (x)_k = (x)_{k+1} + k (x)_k and its deformed twin
+x (x)_{k,λ} = (x)_{k+1,λ} + kλ (x)_{k,λ}: each row is the previous one
+shifted by a column plus a step weight times itself, memoised row by
+row.
 
-The polynomial families are then finite sums over those tables:
+The polynomial families are then weighted sums over one table row:
 Bell-style sums of table entries against powers of x, geometric
 (ordered-partition) sums with an extra k! or rising-factorial weight,
 and the Bernoulli-style sequences read off a reciprocal power series.
@@ -22,7 +24,7 @@ from math import comb, factorial
 
 from dataclasses import dataclass
 
-from .rational import RAT_ONE, Rational, as_rational
+from .rational import RAT_ONE, Rational
 from .poly import (
     LAM,
     LP_ONE,
@@ -105,35 +107,24 @@ def falling_factorial_lambda(n: int) -> XPoly:
         return _FALLING_DEG[n]
 
 
-def _coeffs_in_basis(target: XPoly, basis) -> list[LambdaPoly]:
-    # each basis[l] is monic of degree l, so this is back substitution
-    n = len(basis) - 1
-    rem = target
-    out = [LP_ZERO] * (n + 1)
-    for l in range(n, -1, -1):
-        c = rem.coeff(l)
-        if c:
-            out[l] = c
-            rem = rem - basis[l] * c
-    if rem:
-        raise RuntimeError("basis conversion left a nonzero remainder")
-    return out
+# step weight a + bλ, as (a, b), in entry(n+1,k) = entry(n,k-1) + w(n,k) entry(n,k)
+_STEP = {
+    "S1": lambda n, k: (-n, 0),
+    "S2": lambda n, k: (k, 0),
+    "S1deg": lambda n, k: (-n, k),
+    "S2deg": lambda n, k: (k, -n),
+}
 
 
 def _build_row(kind: str, n: int) -> tuple[LambdaPoly, ...]:
-    if kind == "S1":
-        p = falling_factorial(n)
-        return tuple(p.coeff(l) for l in range(n + 1))
-    if kind == "S2":
-        basis = [falling_factorial(l) for l in range(n + 1)]
-        return tuple(_coeffs_in_basis(XPoly.monomial(1, n), basis))
-    if kind == "S1deg":
-        basis = [falling_factorial_lambda(l) for l in range(n + 1)]
-        return tuple(_coeffs_in_basis(falling_factorial(n), basis))
-    if kind == "S2deg":
-        basis = [falling_factorial(l) for l in range(n + 1)]
-        return tuple(_coeffs_in_basis(falling_factorial_lambda(n), basis))
-    raise ValueError(f"unknown table kind {kind!r}; expected one of {STIRLING_KINDS}")
+    if n == 0:
+        return (LP_ONE,)
+    prev = _ROWS[kind][n - 1] + (LP_ZERO,)
+    step = _STEP[kind]
+    return tuple(
+        (prev[k - 1] if k else LP_ZERO) + LambdaPoly(step(n - 1, k)) * prev[k]
+        for k in range(n + 1)
+    )
 
 
 def stirling(kind: str, n: int, k: int) -> LambdaPoly:
@@ -185,38 +176,28 @@ def triangular_table(kind: str, n_max: int) -> TriangularTable:
 # polynomial families
 
 
+def _weighted_row(kind: str, n: int, weight) -> XPoly:
+    # sum over k of weight(k) * entry(n, k) * x^k
+    return XPoly(weight(k) * stirling(kind, n, k) for k in range(n + 1))
+
+
 def bell_deg(n: int) -> XPoly:
     """Deformed Bell polynomial: sum of (1)_{k,λ} S2(n,k) x^k.
 
     Counts set partitions with each block weighted by a falling product
     at 1; at λ = 0 it collapses to the classical Bell polynomial.
     """
-    out = XPoly()
-    for k in range(n + 1):
-        c = stirling("S2", n, k)
-        if c:
-            out = out + XPoly.monomial(lambda_falling(1, k) * c, k)
-    return out
+    return _weighted_row("S2", n, lambda k: lambda_falling(1, k))
 
 
 def bell_poly(n: int) -> XPoly:
     """Classical Bell polynomial: sum of S2(n,k) x^k."""
-    out = XPoly()
-    for k in range(n + 1):
-        c = stirling("S2", n, k)
-        if c:
-            out = out + XPoly.monomial(c, k)
-    return out
+    return _weighted_row("S2", n, lambda k: 1)
 
 
 def bell_partial_deg(n: int) -> XPoly:
     """Partially deformed Bell polynomial: sum of S2deg(n,k) x^k."""
-    out = XPoly()
-    for k in range(n + 1):
-        c = stirling("S2deg", n, k)
-        if c:
-            out = out + XPoly.monomial(c, k)
-    return out
+    return _weighted_row("S2deg", n, lambda k: 1)
 
 
 def bell_second_deg(n: int) -> RationalFn:
@@ -229,22 +210,12 @@ def bell_second_deg(n: int) -> RationalFn:
 
 def geometric_deg(n: int) -> XPoly:
     """Deformed geometric (ordered Bell) polynomial: sum of S2deg(n,k) k! x^k."""
-    out = XPoly()
-    for k in range(n + 1):
-        c = stirling("S2deg", n, k)
-        if c:
-            out = out + XPoly.monomial(c * factorial(k), k)
-    return out
+    return _weighted_row("S2deg", n, factorial)
 
 
 def geometric(n: int) -> XPoly:
     """Classical geometric polynomial: sum of S2(n,k) k! x^k."""
-    out = XPoly()
-    for k in range(n + 1):
-        c = stirling("S2", n, k)
-        if c:
-            out = out + XPoly.monomial(c * factorial(k), k)
-    return out
+    return _weighted_row("S2", n, factorial)
 
 
 def geometric_r(n: int, r: int) -> XPoly:
@@ -255,12 +226,7 @@ def geometric_r(n: int, r: int) -> XPoly:
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
-    out = XPoly()
-    for k in range(n + 1):
-        c = stirling("S2", n, k)
-        if c:
-            out = out + XPoly.monomial(c * rising_product(r, k), k)
-    return out
+    return _weighted_row("S2", n, lambda k: rising_product(r, k))
 
 
 def bernoulli_deg(n: int) -> LambdaPoly:

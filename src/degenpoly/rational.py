@@ -1,48 +1,31 @@
 """Exact rational scalars, the base field for everything else.
 
-gmpy2's mpq is used when available because it is roughly an order of
-magnitude faster than fractions.Fraction on the small-rational
-workloads that dominate here.  Both backends keep values in lowest
-terms with a positive denominator and interoperate cleanly with ints,
-so the choice never changes a result, only how long it takes.  Set
-DEGENPOLY_PURE_PYTHON=1 in the environment to force the stdlib
-fallback.
+Scalars are plain ints and fractions.Fraction values: always in lowest
+terms with a positive denominator, printed as "p/q" (or just "p").
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-if os.environ.get("DEGENPOLY_PURE_PYTHON"):
-    Rational = Fraction
-else:
-    try:
-        from gmpy2 import mpq as Rational  # type: ignore[assignment]
-    except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-        Rational = Fraction
-
-BACKEND = "fraction" if Rational is Fraction else "gmpy2"
+Rational = Fraction
 
 RAT_ZERO = Rational(0)
 RAT_ONE = Rational(1)
 
-_SCALAR_TYPES = (int, Rational, Fraction)
-
 
 def is_scalar(value) -> bool:
-    """True for plain exact scalars: ints and rationals of either backend."""
-    return isinstance(value, _SCALAR_TYPES)
+    """True for plain exact scalars: ints and rationals."""
+    return isinstance(value, (int, Fraction))
 
 
 def as_rational(value) -> Rational:
-    """Coerce an int, a rational of either backend, or a "p/q" string.
+    """Coerce an int, a rational, or a "p/q" string.
 
-    str(as_rational(v)) round-trips: both backends print "p/q" (or just
-    "p" when the denominator is 1), which is the canonical text form
-    used throughout the CLI and the JSON output.
+    str(as_rational(v)) round-trips; "p/q" (or "p") is the canonical
+    text form used throughout the CLI and the JSON output.
     """
-    if isinstance(value, _SCALAR_TYPES):
+    if isinstance(value, (int, Fraction)):
         return Rational(value)
     if isinstance(value, str):
         return Rational(value.strip())

@@ -1,16 +1,24 @@
 """CLI surface: table, eval, verify, exit codes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import degenpoly
 from degenpoly.cli import main
 from degenpoly.poly import LAM, X, XP_ONE
 from degenpoly.ratfunc import RationalFn
 from degenpoly.render import value_from_json
 from degenpoly.families import bell_deg, bernoulli_deg, stirling
+
+
+def child_env():
+    # a child interpreter imports this checkout's package, installed or not
+    return {**os.environ, "PYTHONPATH": str(Path(degenpoly.__file__).parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -197,16 +205,19 @@ def test_entry_point_subprocess():
         [sys.executable, "-m", "degenpoly.cli", "eval", "--family", "geometric", "--n", "3", "--x", "1"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "13"
 
 
-def test_pure_python_backend_subprocess():
+def test_fraction_scalars_subprocess():
+    # a fresh interpreter sees exactly one scalar type, with no switch to set
     code = (
-        "from degenpoly.rational import Rational, BACKEND\n"
+        "import fractions\n"
+        "import degenpoly.rational\n"
         "from degenpoly.families import bernoulli_deg\n"
-        "assert BACKEND == 'fraction', BACKEND\n"
+        "assert degenpoly.rational.Rational is fractions.Fraction\n"
         "assert str(bernoulli_deg(2)) == '1/6 - 1/6λ^2'\n"
         "print('ok')\n"
     )
@@ -214,7 +225,7 @@ def test_pure_python_backend_subprocess():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "DEGENPOLY_PURE_PYTHON": "1"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"

@@ -88,6 +88,11 @@ def test_run_check_overrides():
     assert v.checked_range["n_max"] == 30
     with pytest.raises(ValueError):
         run_check("NOPE")
+    # n_max may exceed order: terms above the order are truncated, not refused
+    v = run_check("T5T6", {"n_max": 14, "order": 8})
+    assert v.ok and v.checked_range == {"n_max": 14, "order": 8}
+    v = run_check("T5T6", {"n_max": 14, "order": 8}, perturbed=True)
+    assert not v.ok
 
 
 def test_reproducible():

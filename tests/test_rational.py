@@ -1,4 +1,4 @@
-"""The scalar backend must behave like exact normalized rationals."""
+"""Scalars must behave like exact normalized rationals."""
 
 from fractions import Fraction
 
