@@ -16,7 +16,7 @@ from .poly import LambdaPoly, XPoly
 from .series import NonInvertibleError
 from .ratfunc import PoleError, RationalFn
 from .render import value_to_json
-from .identities import REGISTRY, run_all, verdict_to_dict
+from .identities import run_all, verdicts_to_json
 from . import families as fam
 
 _SEQUENCE_FAMILIES = {
@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
     failed = [v for v in verdicts if not v.ok]
     print(f"{len(verdicts) - len(failed)} passed, {len(failed)} failed", file=lines_to)
     if json_out:
-        _write(json.dumps([verdict_to_dict(v) for v in verdicts], indent=2), args.output)
+        _write(verdicts_to_json(verdicts), args.output)
     return 1 if failed else 0
 
 

@@ -8,11 +8,18 @@ with both values.  Checks are registered with a deliberate fault
 fail; a healthy suite passes normally and fails in exactly the
 targeted way under its control.
 
+A check is a function decorated with ``@_check(id, fault=...)``: its
+docstring is the description, its integer keyword defaults are the
+bounds a caller may override, and its body returns None on success or
+``(indices, lhs, rhs)`` for the first failure it finds.
+
 All comparisons are exact; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from dataclasses import dataclass
 from math import comb, factorial
@@ -73,18 +80,49 @@ class IdentityCheck:
     perturbation: str
 
 
-def _done(check_id, description, params, failure=None) -> Verdict:
-    if failure is None:
-        return Verdict(check_id, "pass", dict(params), description, dict(params))
-    indices, lhs, rhs = failure
-    return Verdict(
-        check_id,
-        "fail",
-        dict(params),
-        description,
-        dict(params),
-        {"indices": indices, "lhs": lhs, "rhs": rhs},
-    )
+_CHECKS: list[IdentityCheck] = []
+
+
+def _check(check_id: str, fault: str, **fixed):
+    """Register the decorated check body under check_id.
+
+    Keywords in ``fixed`` are bound into every call; they lead ``params``
+    but cannot be overridden.  The returned wrapper validates the bounds
+    (each must be an int >= 0) and turns the body's result into a Verdict.
+    """
+
+    def register(body):
+        sig = inspect.signature(body)
+        bounds = [name for name, p in sig.parameters.items() if type(p.default) is int]
+        description = " ".join(body.__doc__.split())
+
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> Verdict:
+            call = sig.bind(*args, **fixed, **kwargs)
+            call.apply_defaults()
+            for name in bounds:
+                value = call.arguments[name]
+                if type(value) is not int or value < 0:
+                    raise ValueError(f"{check_id}: {name} must be an int >= 0, got {value!r}")
+            params = {**fixed, **{name: call.arguments[name] for name in bounds}}
+            failure = body(*call.args, **call.kwargs)
+            if failure is None:
+                return Verdict(check_id, "pass", dict(params), description, params)
+            indices, lhs, rhs = failure
+            return Verdict(
+                check_id,
+                "fail",
+                dict(params),
+                description,
+                params,
+                {"indices": indices, "lhs": lhs, "rhs": rhs},
+            )
+
+        defaults = {**fixed, **{name: sig.parameters[name].default for name in bounds}}
+        _CHECKS.append(IdentityCheck(check_id, description, defaults, run, fault))
+        return run
+
+    return register
 
 
 def _f_eval(coeffs, k) -> Rational:
@@ -104,15 +142,11 @@ def _poly_battery(d_max: int):
 # ---------------------------------------------------------------------------
 # individual checks
 
-_D_T1 = (
-    "integrating the partially deformed Bell polynomial of x*y in y against "
-    "the unit exponential weight yields the deformed geometric polynomial"
-)
 
-
-def check_T1(n_max=16, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
-    failure = None
+@_check("T1", fault="inserts an extra factor of y before integrating")
+def check_T1(n_max=16, perturbed=False):
+    """integrating the partially deformed Bell polynomial of x*y in y against
+    the unit exponential weight yields the deformed geometric polynomial"""
     for n in range(n_max + 1):
         p = fam.bell_partial_deg(n)
         # p(x*y) collected by powers of y: the y^k slot holds coeff_k * x^k
@@ -122,19 +156,13 @@ def check_T1(n_max=16, perturbed=False) -> Verdict:
         lhs = gamma_moment(moments)
         rhs = fam.geometric_deg(n)
         if lhs != rhs:
-            failure = ({"n": n}, lhs, rhs)
-            break
-    return _done("T1", _D_T1, params, failure)
+            return {"n": n}, lhs, rhs
 
 
-_D_L2 = (
-    "n-fold x d/dx on a series equals the S2-weighted sum of x^k times "
-    "its k-th derivative"
-)
-
-
-def check_L2(n_max=16, g: Series | None = None, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
+@_check("L2", fault="doubles the S2(1, 1) weight")
+def check_L2(n_max=16, g: Series | None = None, perturbed=False):
+    """n-fold x d/dx on a series equals the S2-weighted sum of x^k times
+    its k-th derivative"""
     if g is None:
         g = fam.e_lambda_series(n_max + 5, "x")
     if g.order < n_max + 5:
@@ -142,7 +170,6 @@ def check_L2(n_max=16, g: Series | None = None, perturbed=False) -> Verdict:
     ders = [g]
     for _ in range(n_max):
         ders.append(ders[-1].derivative())
-    failure = None
     for n in range(n_max + 1):
         lhs = g.diag(lambda k: k**n)
         rhs = Series(g.var, g.order, [], g.ring)
@@ -154,33 +181,22 @@ def check_L2(n_max=16, g: Series | None = None, perturbed=False) -> Verdict:
                 rhs = rhs + ders[k].shift_up(k).scaled(c)
         bad = first_mismatch(lhs, rhs)
         if bad is not None:
-            failure = ({"n": n, "coeff": bad[0]}, bad[1], bad[2])
-            break
-    return _done("L2", _D_L2, params, failure)
+            return {"n": n, "coeff": bad[0]}, bad[1], bad[2]
 
 
-_D_T3 = (
-    "sampling a polynomial along the coefficient index of a base series "
-    "equals its S2-weighted derivative expansion"
-)
-
-
-def check_T3(d_max=4, r_max=3, order=16, f_coeffs=None, g_id=None, perturbed=False) -> Verdict:
-    params = {"d_max": d_max, "r_max": r_max, "order": order}
+@_check("T3", fault="samples the polynomial at k+1 instead of k")
+def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
+    """sampling a polynomial along the coefficient index of a base series
+    equals its S2-weighted derivative expansion"""
     bases = [
         ("e_lambda", fam.e_lambda_series(order, "x")),
         ("geometric", fam.geom_series(order)),
     ]
     bases += [(f"binomial_{r}", fam.binom_series(r, order)) for r in range(2, r_max + 1)]
-    if g_id is not None:
-        bases = [(gid, g) for gid, g in bases if gid == g_id]
-        if not bases:
-            raise ValueError(f"unknown base series {g_id!r}")
-    battery = _poly_battery(d_max) if f_coeffs is None else [(tuple(map(as_rational, f_coeffs)), "given")]
-    failure = None
+    battery = _poly_battery(d_max)
     for g_label, g in bases:
         ders = [g]
-        for _ in range(max(len(fc) for fc, _ in battery) - 1):
+        for _ in range(d_max):
             ders.append(ders[-1].derivative())
         for fc, f_label in battery:
             shift = 1 if perturbed else 0
@@ -195,23 +211,14 @@ def check_T3(d_max=4, r_max=3, order=16, f_coeffs=None, g_id=None, perturbed=Fal
                         rhs = rhs + ders[k].shift_up(k).scaled(fn * c)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
-                failure = ({"g": g_label, "f": f_label, "coeff": bad[0]}, bad[1], bad[2])
-                break
-        if failure:
-            break
-    return _done("T3", _D_T3, params, failure)
+                return {"g": g_label, "f": f_label, "coeff": bad[0]}, bad[1], bad[2]
 
 
-_D_T4 = (
-    "deformed exponential sums sampled by a polynomial equal the deformed "
-    "exponential times the matching second-kind deformed Bell combination"
-)
-
-
-def check_T4(d_max=6, order=16, perturbed=False) -> Verdict:
-    params = {"d_max": d_max, "order": order}
+@_check("T4", fault="adds k to the sampled value at index k")
+def check_T4(d_max=6, order=16, perturbed=False):
+    """deformed exponential sums sampled by a polynomial equal the deformed
+    exponential times the matching second-kind deformed Bell combination"""
     e = fam.e_lambda_series(order, "x")
-    failure = None
     for fc, f_label in _poly_battery(d_max):
         lhs = e.diag(lambda k: _f_eval(fc, k) + (k if perturbed else 0))
         combo = Series("x", order, [], LAMBDA_RING)
@@ -221,19 +228,13 @@ def check_T4(d_max=6, order=16, perturbed=False) -> Verdict:
         rhs = e * combo
         bad = first_mismatch(lhs, rhs)
         if bad is not None:
-            failure = ({"f": f_label, "coeff": bad[0]}, bad[1], bad[2])
-            break
-    return _done("T4", _D_T4, params, failure)
+            return {"f": f_label, "coeff": bad[0]}, bad[1], bad[2]
 
 
-_D_T5T6 = (
-    "the second-kind deformed Bell polynomial equals the first kind under "
-    "x -> x/(1+λx), and the inverse substitution recovers the first kind"
-)
-
-
-def check_T5_T6(n_max=12, order=16, perturbed=False) -> Verdict:
-    params = {"n_max": n_max, "order": order}
+@_check("T5T6", fault="expands x/(1+λx) with the wrong sign pattern")
+def check_T5_T6(n_max=12, order=16, perturbed=False):
+    """the second-kind deformed Bell polynomial equals the first kind under
+    x -> x/(1+λx), and the inverse substitution recovers the first kind"""
     sign = 1 if perturbed else -1
     # series expansion of x/(1+λx): alternating geometric in λx
     inner = Series(
@@ -242,7 +243,6 @@ def check_T5_T6(n_max=12, order=16, perturbed=False) -> Verdict:
         [LP_ZERO] + [LambdaPoly.monomial(sign**(k - 1), k - 1) for k in range(1, order + 1)],
         LAMBDA_RING,
     )
-    failure = None
     for n in range(n_max + 1):
         rf = fam.bell_second_deg(n)
         closed = rf.expand(order)
@@ -251,14 +251,11 @@ def check_T5_T6(n_max=12, order=16, perturbed=False) -> Verdict:
         composed = outer.compose(inner)
         bad = first_mismatch(closed, composed)
         if bad is not None:
-            failure = ({"n": n, "coeff": bad[0]}, bad[1], bad[2])
-            break
+            return {"n": n, "coeff": bad[0]}, bad[1], bad[2]
         back = rf.substituted(-LAM)
         first = RationalFn(fam.bell_deg(n))
         if back != first:
-            failure = ({"n": n, "leg": "inverse"}, back, first)
-            break
-    return _done("T5T6", _D_T5T6, params, failure)
+            return {"n": n, "leg": "inverse"}, back, first
 
 
 def _s1_lambda_weight(m: int, l: int) -> LambdaPoly:
@@ -282,16 +279,11 @@ def _s1_mobius_numerator(m: int, poly_of, bump_l0=False) -> XPoly:
     return num
 
 
-_D_T7 = (
-    "running sums of deformed falling products match the S1-weighted "
-    "geometric closed form with denominator (1-x)^(m+2)"
-)
-
-
-def check_T7(m_max=10, k_max=16, perturbed=False) -> Verdict:
-    params = {"m_max": m_max, "k_max": k_max}
+@_check("T7", fault="adds 1 to the S1(m, 0) weight")
+def check_T7(m_max=10, k_max=16, perturbed=False):
+    """running sums of deformed falling products match the S1-weighted
+    geometric closed form with denominator (1-x)^(m+2)"""
     base = XP_ONE - X
-    failure = None
     for m in range(m_max + 1):
         num = _s1_mobius_numerator(m, fam.geometric, bump_l0=perturbed)
         s = RationalFn(num, base ** (m + 2)).expand(k_max)
@@ -299,23 +291,14 @@ def check_T7(m_max=10, k_max=16, perturbed=False) -> Verdict:
         for k in range(k_max + 1):
             acc = acc + lambda_falling(k, m)
             if s.coeff(k) != acc:
-                failure = ({"m": m, "k": k}, s.coeff(k), acc)
-                break
-        if failure:
-            break
-    return _done("T7", _D_T7, params, failure)
+                return {"m": m, "k": k}, s.coeff(k), acc
 
 
-_D_T8 = (
-    "the deformed geometric polynomial at x = -1/2 equals "
-    "2/(n+1) times (beta_{n+1} at λ minus 2^{n+1} beta_{n+1} at λ/2)"
-)
-
-
-def check_T8(n_max=30, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
+@_check("T8", fault="uses 2^n instead of 2^(n+1) on the half-scale term")
+def check_T8(n_max=30, perturbed=False):
+    """the deformed geometric polynomial at x = -1/2 equals
+    2/(n+1) times (beta_{n+1} at λ minus 2^{n+1} beta_{n+1} at λ/2)"""
     half = Rational(-1, 2)
-    failure = None
     for n in range(n_max + 1):
         lhs = fam.geometric_deg(n).eval_x(half)
         b = fam.bernoulli_deg(n + 1)
@@ -323,74 +306,54 @@ def check_T8(n_max=30, perturbed=False) -> Verdict:
         power = 2 ** (n + (0 if perturbed else 1))
         rhs = (b - power * b_half) * Rational(2, n + 1)
         if lhs != rhs:
-            failure = ({"n": n}, lhs, rhs)
-            break
-    return _done("T8", _D_T8, params, failure)
+            return {"n": n}, lhs, rhs
 
 
-_D_E04 = (
-    "the change-of-basis tables are mutually inverse: classical pairs in "
-    "both composition orders, deformed pair in one, plus reconstruction "
-    "of both falling-factorial bases"
-)
-
-
-def check_E04(n_max=40, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
-    failure = None
+@_check("E04", fault="adds 1 to the deformed first-kind entry (2, 1)")
+def check_E04(n_max=40, perturbed=False):
+    """the change-of-basis tables are mutually inverse: classical pairs in
+    both composition orders, deformed pair in one, plus reconstruction
+    of both falling-factorial bases"""
     for n in range(min(n_max, 12) + 1):
         rebuilt = XPoly()
         for k in range(n + 1):
             rebuilt = rebuilt + fam.stirling("S2deg", n, k) * fam.falling_factorial(k)
         if rebuilt != fam.falling_factorial_lambda(n):
-            failure = ({"n": n, "basis": "deformed"}, rebuilt, fam.falling_factorial_lambda(n))
-            break
+            return {"n": n, "basis": "deformed"}, rebuilt, fam.falling_factorial_lambda(n)
         rebuilt = XPoly()
         for k in range(n + 1):
             rebuilt = rebuilt + fam.stirling("S1deg", n, k) * fam.falling_factorial_lambda(k)
         if rebuilt != fam.falling_factorial(n):
-            failure = ({"n": n, "basis": "classical"}, rebuilt, fam.falling_factorial(n))
-            break
-    if failure is None:
-        for n in range(n_max + 1):
-            for m in range(n + 1):
-                want = RAT_ONE if n == m else RAT_ZERO
-                got = RAT_ZERO
-                got2 = RAT_ZERO
-                for k in range(m, n + 1):
-                    got += fam.stirling("S1", n, k).constant_value() * fam.stirling(
-                        "S2", k, m
-                    ).constant_value()
-                    got2 += fam.stirling("S2", n, k).constant_value() * fam.stirling(
-                        "S1", k, m
-                    ).constant_value()
-                if got != want or got2 != want:
-                    failure = ({"n": n, "m": m, "pair": "classical"}, got if got != want else got2, want)
-                    break
-                val = LP_ZERO
-                for k in range(m, n + 1):
-                    a = fam.stirling("S1deg", n, k)
-                    if perturbed and (n, k) == (2, 1):
-                        a = a + 1
-                    val = val + a * fam.stirling("S2deg", k, m)
-                if val != want:
-                    failure = ({"n": n, "m": m, "pair": "deformed"}, val, LambdaPoly.const(want))
-                    break
-            if failure:
-                break
-    return _done("E04", _D_E04, params, failure)
+            return {"n": n, "basis": "classical"}, rebuilt, fam.falling_factorial(n)
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            want = RAT_ONE if n == m else RAT_ZERO
+            got = RAT_ZERO
+            got2 = RAT_ZERO
+            for k in range(m, n + 1):
+                got += fam.stirling("S1", n, k).constant_value() * fam.stirling(
+                    "S2", k, m
+                ).constant_value()
+                got2 += fam.stirling("S2", n, k).constant_value() * fam.stirling(
+                    "S1", k, m
+                ).constant_value()
+            if got != want or got2 != want:
+                return {"n": n, "m": m, "pair": "classical"}, got if got != want else got2, want
+            val = LP_ZERO
+            for k in range(m, n + 1):
+                a = fam.stirling("S1deg", n, k)
+                if perturbed and (n, k) == (2, 1):
+                    a = a + 1
+                val = val + a * fam.stirling("S2deg", k, m)
+            if val != want:
+                return {"n": n, "m": m, "pair": "deformed"}, val, LambdaPoly.const(want)
 
 
-_D_E40 = (
-    "power sums 0^m + ... + k^m: the direct sum, the Bernoulli-polynomial "
-    "closed form, and the λ=0 geometric route all agree"
-)
-
-
-def check_E40(m_max=10, k_max=50, perturbed=False) -> Verdict:
-    params = {"m_max": m_max, "k_max": k_max}
+@_check("E40", fault="divides the Bernoulli closed form by m+2 instead of m+1")
+def check_E40(m_max=10, k_max=50, perturbed=False):
+    """power sums 0^m + ... + k^m: the direct sum, the Bernoulli-polynomial
+    closed form, and the λ=0 geometric route all agree"""
     base = XP_ONE - X
-    failure = None
     for m in range(m_max + 1):
         s = RationalFn(substitute_mobius(fam.geometric(m), -1).num, base ** (m + 2)).expand(k_max)
         bp = fam.bernoulli_poly(m + 1)
@@ -401,59 +364,38 @@ def check_E40(m_max=10, k_max=50, perturbed=False) -> Verdict:
             acc = acc + Rational(k) ** m if k else acc + (RAT_ONE if m == 0 else RAT_ZERO)
             via_bernoulli = (bp.eval(k + 1, 0) - b0) / div
             if via_bernoulli != acc:
-                failure = ({"m": m, "k": k, "route": "bernoulli"}, via_bernoulli, acc)
-                break
+                return {"m": m, "k": k, "route": "bernoulli"}, via_bernoulli, acc
             if s.coeff(k) != acc:
-                failure = ({"m": m, "k": k, "route": "geometric"}, s.coeff(k), acc)
-                break
-        if failure:
-            break
-    return _done("E40", _D_E40, params, failure)
+                return {"m": m, "k": k, "route": "geometric"}, s.coeff(k), acc
 
 
-_D_E44 = (
-    "Eulerian numerators: coefficients are λ-free, sum to m!, and "
-    "regenerate the k^m coefficient stream over (1-x)^(m+1)"
-)
-
-
-def check_eulerian(m_max=10, k_max=20, perturbed=False) -> Verdict:
-    params = {"m_max": m_max, "k_max": k_max}
+@_check("E44", fault="expands over (1-x)^m instead of (1-x)^(m+1)")
+def check_eulerian(m_max=10, k_max=20, perturbed=False):
+    """Eulerian numerators: coefficients are λ-free, sum to m!, and
+    regenerate the k^m coefficient stream over (1-x)^(m+1)"""
     base = XP_ONE - X
-    failure = None
     for m in range(m_max + 1):
         a = fam.eulerian_poly(m)
         if a.lambda_degree > 0:
-            failure = ({"m": m, "leg": "lambda-free"}, a, XPoly())
-            break
+            return {"m": m, "leg": "lambda-free"}, a, XPoly()
         total = RAT_ZERO
         for k in range(a.degree + 1):
             total += a.coeff(k).constant_value()
         if total != factorial(m):
-            failure = ({"m": m, "leg": "coefficient-sum"}, total, as_rational(factorial(m)))
-            break
+            return {"m": m, "leg": "coefficient-sum"}, total, as_rational(factorial(m))
         dpow = m + 1 - (1 if perturbed else 0)
         s = RationalFn(a, base**dpow).expand(k_max)
         for k in range(k_max + 1):
             want = as_rational(k**m) if k else (RAT_ONE if m == 0 else RAT_ZERO)
             if s.coeff(k) != want:
-                failure = ({"m": m, "k": k}, s.coeff(k), want)
-                break
-        if failure:
-            break
-    return _done("E44", _D_E44, params, failure)
+                return {"m": m, "k": k}, s.coeff(k), want
 
 
-_D_E50 = (
-    "rising-binomial coefficients weighted by deformed falling products "
-    "match the S1-weighted higher-order geometric closed form"
-)
-
-
-def check_E50(m_max=8, r_max=4, order=16, perturbed=False) -> Verdict:
-    params = {"m_max": m_max, "r_max": r_max, "order": order}
+@_check("E50", fault="uses binomial C(r+k, k) weights instead of C(r+k-1, k)")
+def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
+    """rising-binomial coefficients weighted by deformed falling products
+    match the S1-weighted higher-order geometric closed form"""
     base = XP_ONE - X
-    failure = None
     for r in range(1, r_max + 1):
         shift = 0 if perturbed else 1
         bs = Series(
@@ -465,23 +407,14 @@ def check_E50(m_max=8, r_max=4, order=16, perturbed=False) -> Verdict:
             rhs = RationalFn(num, base ** (m + r)).expand(order)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
-                failure = ({"r": r, "m": m, "coeff": bad[0]}, bad[1], bad[2])
-                break
-        if failure:
-            break
-    return _done("E50", _D_E50, params, failure)
+                return {"r": r, "m": m, "coeff": bad[0]}, bad[1], bad[2]
 
 
-_D_E57 = (
-    "series coefficients of 1/(deformed exponential + 1) match both the "
-    "deformed Bernoulli combination and half the geometric value at -1/2"
-)
-
-
-def check_E57(n_max=16, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
+@_check("E57", fault="divides the Bernoulli combination by n+2 instead of n+1")
+def check_E57(n_max=16, perturbed=False):
+    """series coefficients of 1/(deformed exponential + 1) match both the
+    deformed Bernoulli combination and half the geometric value at -1/2"""
     rec = (fam.e_lambda_series(n_max, "t") + 1).reciprocal()
-    failure = None
     for n in range(n_max + 1):
         lhs = factorial(n) * rec.coeff(n)
         b = fam.bernoulli_deg(n + 1)
@@ -489,25 +422,17 @@ def check_E57(n_max=16, perturbed=False) -> Verdict:
         div = n + 1 + (1 if perturbed else 0)
         via_beta = (b - 2 ** (n + 1) * b_half) / div
         if lhs != via_beta:
-            failure = ({"n": n, "route": "bernoulli"}, lhs, via_beta)
-            break
+            return {"n": n, "route": "bernoulli"}, lhs, via_beta
         via_geom = fam.geometric_deg(n).eval_x(Rational(-1, 2)) / 2
         if lhs != via_geom:
-            failure = ({"n": n, "route": "geometric"}, lhs, via_geom)
-            break
-    return _done("E57", _D_E57, params, failure)
+            return {"n": n, "route": "geometric"}, lhs, via_geom
 
 
-_D_R9 = (
-    "alternating sums of deformed falling products, defined as the exact "
-    "rational-function value at x = -1: geometric and Eulerian routes agree"
-)
-
-
-def check_R9(n_max=16, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
+@_check("R9", fault="drops the factor 1/2 on the geometric route")
+def check_R9(n_max=16, perturbed=False):
+    """alternating sums of deformed falling products, defined as the exact
+    rational-function value at x = -1: geometric and Eulerian routes agree"""
     mhalf = Rational(-1, 2)
-    failure = None
     for n in range(n_max + 1):
         via_geom = LP_ZERO
         via_euler = LP_ZERO
@@ -520,21 +445,14 @@ def check_R9(n_max=16, perturbed=False) -> Verdict:
         if not perturbed:
             via_geom = via_geom / 2
         if via_geom != via_euler:
-            failure = ({"n": n}, via_geom, via_euler)
-            break
-    return _done("R9", _D_R9, params, failure)
+            return {"n": n}, via_geom, via_euler
 
 
-_D_DEG = (
-    "every deformed family collapses to its classical counterpart at λ = 0, "
-    "and classical Bell values match the additive-triangle recurrence"
-)
-
-
-def check_degeneration(n_max=20, perturbed=False) -> Verdict:
-    params = {"n_max": n_max}
+@_check("DEG", fault="degenerates at λ = 1 instead of λ = 0")
+def check_degeneration(n_max=20, perturbed=False):
+    """every deformed family collapses to its classical counterpart at λ = 0,
+    and classical Bell values match the additive-triangle recurrence"""
     at = 1 if perturbed else 0  # the control degenerates at the wrong point
-    failure = None
     for n in range(n_max + 1):
         legs = [
             ("bell_deg", lambda_substitute(fam.bell_deg(n), value=at), fam.bell_poly(n)),
@@ -553,34 +471,24 @@ def check_degeneration(n_max=20, perturbed=False) -> Verdict:
         ]
         for name, got, want in legs:
             if got != want:
-                failure = ({"family": name, "n": n}, got, want)
-                break
-        if failure:
-            break
+                return {"family": name, "n": n}, got, want
         for k in range(n + 1):
             s1 = fam.stirling("S1deg", n, k).eval(at)
             s2 = fam.stirling("S2deg", n, k).eval(at)
             if s1 != fam.stirling("S1", n, k).constant_value():
-                failure = ({"family": "stirling1_deg", "n": n, "k": k}, s1, fam.stirling("S1", n, k))
-                break
+                return {"family": "stirling1_deg", "n": n, "k": k}, s1, fam.stirling("S1", n, k)
             if s2 != fam.stirling("S2", n, k).constant_value():
-                failure = ({"family": "stirling2_deg", "n": n, "k": k}, s2, fam.stirling("S2", n, k))
-                break
-        if failure:
-            break
-    if failure is None:
-        # Bell numbers from the additive triangle, no tables involved
-        row = [1]
-        for n in range(min(n_max, 15) + 1):
-            got = fam.bell_poly(n).eval(1, 0)
-            if got != row[0]:
-                failure = ({"family": "bell-numbers", "n": n}, got, as_rational(row[0]))
-                break
-            nxt = [row[-1]]
-            for v in row:
-                nxt.append(nxt[-1] + v)
-            row = nxt
-    return _done("DEG", _D_DEG, params, failure)
+                return {"family": "stirling2_deg", "n": n, "k": k}, s2, fam.stirling("S2", n, k)
+    # Bell numbers from the additive triangle, no tables involved
+    row = [1]
+    for n in range(min(n_max, 15) + 1):
+        got = fam.bell_poly(n).eval(1, 0)
+        if got != row[0]:
+            return {"family": "bell-numbers", "n": n}, got, as_rational(row[0])
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
 
 
 _GF_BUILDERS = {
@@ -590,30 +498,18 @@ _GF_BUILDERS = {
     "bernoulli_deg": (fam.bernoulli_deg_gf, fam.bernoulli_deg),
 }
 
-_D_GF = "coefficients of the defining series regenerate the constructed family"
 
-
-def check_gf_consistency(family: str, order=16, perturbed=False) -> Verdict:
-    if family not in _GF_BUILDERS:
-        raise ValueError(f"no generating series registered for {family!r}")
-    params = {"family": family, "order": order}
-    check_id = {
-        "bell_deg": "GF-bell",
-        "phi_deg": "GF-phi",
-        "geom_deg": "GF-geom",
-        "bernoulli_deg": "GF-bern",
-    }[family]
+def _gf_consistency(family, order=16, perturbed=False):
+    """coefficients of the defining series regenerate the constructed family"""
     build, construct = _GF_BUILDERS[family]
     s = build(order)
-    failure = None
     for n in range(order + 1):
         w = factorial(n + 1) if perturbed else factorial(n)
         got = w * s.coeff(n)
         want = construct(n)
         if got != want:
-            failure = ({"n": n}, got, want)
-            break
-    if failure is None and family == "bernoulli_deg":
+            return {"n": n}, got, want
+    if family == "bernoulli_deg":
         # the series must also solve its defining equation: product with
         # (deformed exponential - 1)/t is exactly 1
         shifted = Series(
@@ -626,164 +522,41 @@ def check_gf_consistency(family: str, order=16, perturbed=False) -> Verdict:
         for n in range(order + 1):
             want = LP_ONE if n == 0 else LP_ZERO
             if prod.coeff(n) != want:
-                failure = ({"n": n, "leg": "defining-equation"}, prod.coeff(n), want)
-                break
-    return _done(check_id, _D_GF, params, failure)
+                return {"n": n, "leg": "defining-equation"}, prod.coeff(n), want
+
+
+_GF_FAULT = "reads coefficient n with weight (n+1)! instead of n!"
+_check("GF-bell", _GF_FAULT, family="bell_deg")(_gf_consistency)
+_check("GF-phi", _GF_FAULT, family="phi_deg")(_gf_consistency)
+_check("GF-geom", _GF_FAULT, family="geom_deg")(_gf_consistency)
+_check("GF-bern", _GF_FAULT, family="bernoulli_deg")(_gf_consistency)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
-REGISTRY: tuple[IdentityCheck, ...] = tuple(
-    sorted(
-        [
-            IdentityCheck(
-                "DEG",
-                _D_DEG,
-                {"n_max": 20},
-                check_degeneration,
-                "degenerates at λ = 1 instead of λ = 0",
-            ),
-            IdentityCheck(
-                "E04",
-                _D_E04,
-                {"n_max": 40},
-                check_E04,
-                "adds 1 to the deformed first-kind entry (2, 1)",
-            ),
-            IdentityCheck(
-                "E40",
-                _D_E40,
-                {"m_max": 10, "k_max": 50},
-                check_E40,
-                "divides the Bernoulli closed form by m+2 instead of m+1",
-            ),
-            IdentityCheck(
-                "E44",
-                _D_E44,
-                {"m_max": 10, "k_max": 20},
-                check_eulerian,
-                "expands over (1-x)^m instead of (1-x)^(m+1)",
-            ),
-            IdentityCheck(
-                "E50",
-                _D_E50,
-                {"m_max": 8, "r_max": 4, "order": 16},
-                check_E50,
-                "uses binomial C(r+k, k) weights instead of C(r+k-1, k)",
-            ),
-            IdentityCheck(
-                "E57",
-                _D_E57,
-                {"n_max": 16},
-                check_E57,
-                "divides the Bernoulli combination by n+2 instead of n+1",
-            ),
-            IdentityCheck(
-                "GF-bell",
-                _D_GF,
-                {"family": "bell_deg", "order": 16},
-                check_gf_consistency,
-                "reads coefficient n with weight (n+1)! instead of n!",
-            ),
-            IdentityCheck(
-                "GF-bern",
-                _D_GF,
-                {"family": "bernoulli_deg", "order": 16},
-                check_gf_consistency,
-                "reads coefficient n with weight (n+1)! instead of n!",
-            ),
-            IdentityCheck(
-                "GF-geom",
-                _D_GF,
-                {"family": "geom_deg", "order": 16},
-                check_gf_consistency,
-                "reads coefficient n with weight (n+1)! instead of n!",
-            ),
-            IdentityCheck(
-                "GF-phi",
-                _D_GF,
-                {"family": "phi_deg", "order": 16},
-                check_gf_consistency,
-                "reads coefficient n with weight (n+1)! instead of n!",
-            ),
-            IdentityCheck(
-                "L2",
-                _D_L2,
-                {"n_max": 16},
-                check_L2,
-                "doubles the S2(1, 1) weight",
-            ),
-            IdentityCheck(
-                "R9",
-                _D_R9,
-                {"n_max": 16},
-                check_R9,
-                "drops the factor 1/2 on the geometric route",
-            ),
-            IdentityCheck(
-                "T1",
-                _D_T1,
-                {"n_max": 16},
-                check_T1,
-                "inserts an extra factor of y before integrating",
-            ),
-            IdentityCheck(
-                "T3",
-                _D_T3,
-                {"d_max": 4, "r_max": 3, "order": 16},
-                check_T3,
-                "samples the polynomial at k+1 instead of k",
-            ),
-            IdentityCheck(
-                "T4",
-                _D_T4,
-                {"d_max": 6, "order": 16},
-                check_T4,
-                "adds k to the sampled value at index k",
-            ),
-            IdentityCheck(
-                "T5T6",
-                _D_T5T6,
-                {"n_max": 12, "order": 16},
-                check_T5_T6,
-                "expands x/(1+λx) with the wrong sign pattern",
-            ),
-            IdentityCheck(
-                "T7",
-                _D_T7,
-                {"m_max": 10, "k_max": 16},
-                check_T7,
-                "adds 1 to the S1(m, 0) weight",
-            ),
-            IdentityCheck(
-                "T8",
-                _D_T8,
-                {"n_max": 30},
-                check_T8,
-                "uses 2^n instead of 2^(n+1) on the half-scale term",
-            ),
-        ],
-        key=lambda c: c.id,
-    )
-)
+REGISTRY: tuple[IdentityCheck, ...] = tuple(sorted(_CHECKS, key=lambda c: c.id))
 
 _BY_ID = {c.id: c for c in REGISTRY}
 
 
 def run_check(check_id: str, overrides: dict | None = None, perturbed=False) -> Verdict:
-    """Run one registered check, optionally overriding its default bounds."""
+    """Run one registered check, optionally overriding its default bounds.
+
+    Only the integer bounds can be overridden; other keys and None values
+    in ``overrides`` are ignored.
+    """
     try:
         entry = _BY_ID[check_id]
     except KeyError:
         known = ", ".join(sorted(_BY_ID))
         raise ValueError(f"unknown check {check_id!r}; known: {known}") from None
-    params = dict(entry.params)
-    if overrides:
-        for key, val in overrides.items():
-            if key in params and val is not None:
-                params[key] = val
-    return entry.fn(**params, perturbed=perturbed)
+    bounds = {
+        key: val
+        for key, val in (overrides or {}).items()
+        if val is not None and isinstance(entry.params.get(key), int)
+    }
+    return entry.fn(**bounds, perturbed=perturbed)
 
 
 def run_all(prefix: str | None = None, overrides: dict | None = None, negative_control=False):

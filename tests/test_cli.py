@@ -200,6 +200,15 @@ def test_verify_unknown_prefix(capsys):
     assert "no check id starts with" in err
 
 
+@pytest.mark.parametrize("argv", [("T8", "--n-max", "-3"), ("E50", "--r-max", "-1")])
+def test_verify_rejects_negative_bounds(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert "must be an int >= 0" in err
+    assert "PASS" not in out
+
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "degenpoly.cli", "eval", "--family", "geometric", "--n", "3", "--x", "1"],

@@ -95,6 +95,27 @@ def test_run_check_overrides():
     assert not v.ok
 
 
+def test_overrides_cannot_change_fixed_arguments():
+    # only integer bounds are overridable; the GF family is part of the check
+    v = run_check("GF-bell", {"family": "geom_deg", "order": 4})
+    assert v.id == "GF-bell"
+    assert v.params == {"family": "bell_deg", "order": 4}
+    assert list(v.params)[0] == "family"
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 2.0, "5", True])
+def test_bounds_must_be_nonnegative_ints(bad):
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        run_check("T8", {"n_max": bad})
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        run_check("E50", {"r_max": bad})
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        check_L2(n_max=bad)
+    # zero is a valid, if small, bound
+    assert run_check("T8", {"n_max": 0}).checked_range == {"n_max": 0}
+
+
+
 def test_reproducible():
     assert run_check("T1") == run_check("T1")
     assert run_check("E57", perturbed=True) == run_check("E57", perturbed=True)
