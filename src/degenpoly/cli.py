@@ -16,7 +16,7 @@ from .poly import LambdaPoly, XPoly
 from .series import NonInvertibleError
 from .ratfunc import PoleError, RationalFn
 from .render import value_to_json
-from .identities import run_all, verdicts_to_json
+from .identities import MAX_BOUND, run_all, verdicts_to_json
 from . import families as fam
 
 _SEQUENCE_FAMILIES = {
@@ -117,14 +117,21 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
+def _row_bound(name: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if value > MAX_BOUND:
+        raise ValueError(f"{name} must be at most {MAX_BOUND}, got {value}")
+    return value
+
+
 def _cmd_table(args) -> int:
     family = args.family
     if args.n is not None:
-        ns = [args.n]
+        ns = [_row_bound("n", args.n)]
     else:
-        ns = list(range((args.n_max if args.n_max is not None else _DEFAULT_N_MAX) + 1))
-    if any(n < 0 for n in ns):
-        raise ValueError("n must be nonnegative")
+        n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX
+        ns = list(range(_row_bound("n_max", n_max) + 1))
 
     rows = []
     if family in _TRIANGLE_FAMILIES:
@@ -184,8 +191,7 @@ def _cmd_eval(args) -> int:
     family = args.family
     if args.n is None:
         raise ValueError("eval requires --n")
-    if args.n < 0:
-        raise ValueError("n must be nonnegative")
+    _row_bound("n", args.n)
     if family in _TRIANGLE_FAMILIES:
         if args.k is None:
             raise ValueError(f"eval of {family} requires --k")

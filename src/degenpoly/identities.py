@@ -43,6 +43,7 @@ from .render import value_to_json
 from . import families as fam
 
 __all__ = [
+    "MAX_BOUND",
     "Verdict",
     "IdentityCheck",
     "REGISTRY",
@@ -51,6 +52,11 @@ __all__ = [
     "verdict_to_dict",
     "verdicts_to_json",
 ]
+
+
+# largest bound a check or a table accepts: the default bounds reach 50,
+# and at 100 the slowest check (E04) still finishes in under a minute
+MAX_BOUND = 100
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ def _check(check_id: str, fault: str, **fixed):
 
     Keywords in ``fixed`` are bound into every call; they lead ``params``
     but cannot be overridden.  The returned wrapper validates the bounds
-    (each must be an int >= 0) and turns the body's result into a Verdict.
+    (each must be an int in 0..MAX_BOUND) and turns the body's result
+    into a Verdict.
     """
 
     def register(body):
@@ -104,6 +111,8 @@ def _check(check_id: str, fault: str, **fixed):
                 value = call.arguments[name]
                 if type(value) is not int or value < 0:
                     raise ValueError(f"{check_id}: {name} must be an int >= 0, got {value!r}")
+                if value > MAX_BOUND:
+                    raise ValueError(f"{check_id}: {name} must be at most {MAX_BOUND}, got {value}")
             params = {**fixed, **{name: call.arguments[name] for name in bounds}}
             failure = body(*call.args, **call.kwargs)
             if failure is None:
@@ -194,9 +203,11 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
     ]
     bases += [(f"binomial_{r}", fam.binom_series(r, order)) for r in range(2, r_max + 1)]
     battery = _poly_battery(d_max)
+    # x^k g^(k) vanishes below x^(order+1) once k > order
+    top = min(d_max, order)
     for g_label, g in bases:
         ders = [g]
-        for _ in range(d_max):
+        for _ in range(top):
             ders.append(ders[-1].derivative())
         for fc, f_label in battery:
             shift = 1 if perturbed else 0
@@ -205,7 +216,7 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
             for n, fn in enumerate(fc):
                 if not fn:
                     continue
-                for k in range(n + 1):
+                for k in range(min(n, top) + 1):
                     c = fam.stirling("S2", n, k)
                     if c:
                         rhs = rhs + ders[k].shift_up(k).scaled(fn * c)

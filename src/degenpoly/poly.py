@@ -1,12 +1,15 @@
 """Dense exact polynomials in the deformation parameter and in x.
 
 LambdaPoly is a polynomial in the deformation parameter (rendered as
-the symbol λ) with rational coefficients.  XPoly is a polynomial in x
-whose coefficients are LambdaPoly values, so it is effectively a
-bivariate polynomial in (x, λ).  Coefficients are stored densely,
-lowest degree first, with no trailing zeros; the zero polynomial has
-an empty coefficient tuple.  Instances are immutable and all
-arithmetic is exact.
+the symbol λ) with rational coefficients, stored as a tuple of integer
+numerators over one shared positive denominator, reduced by their
+common gcd.  Every Stirling-table entry and every falling product has
+integer coefficients, so the denominator is almost always 1 and
+multiplying two λ-polynomials is an integer schoolbook convolution.
+XPoly is a polynomial in x whose coefficients are LambdaPoly values, so
+it is effectively a bivariate polynomial in (x, λ).  Both are dense,
+lowest degree first, with no trailing zeros; the zero polynomial has no
+coefficients.  Instances are immutable and all arithmetic is exact.
 
 Scalars (ints, rationals) coerce into either class on the fly, and a
 LambdaPoly coerces into an XPoly as a constant, so mixed arithmetic
@@ -15,6 +18,7 @@ such as ``2 * p - q / 3`` works without ceremony.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
@@ -68,67 +72,95 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
 
 
 class LambdaPoly:
-    """Polynomial in the deformation parameter with rational coefficients."""
+    """Polynomial in the deformation parameter with rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators ``num`` (lowest degree first, no
+    trailing zeros) over one positive denominator ``den``, reduced so
+    that gcd(den, *num) == 1; the zero polynomial is ((), 1).  Equal
+    values therefore have equal fields.  ``coeffs`` gives the
+    coefficients as a tuple of rationals.
+    """
 
-    def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _strip([as_rational(c) for c in coeffs])
+    __slots__ = ("num", "den")
+
+    def __new__(cls, coeffs: Iterable = ()):
+        qs = [as_rational(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        return cls._new([q.numerator * (den // q.denominator) for q in qs], den)
 
     @classmethod
-    def _raw(cls, coeffs: tuple) -> "LambdaPoly":
-        # internal: coeffs already Rational and stripped
+    def _new(cls, num: list, den: int = 1) -> "LambdaPoly":
+        # internal: integer numerators over a positive denominator; strips
+        # trailing zeros and divides out gcd(den, *num), so zero is ((), 1)
+        while num and not num[-1]:
+            num.pop()
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         p = object.__new__(cls)
-        p.coeffs = coeffs
+        p.num = tuple(num)
+        p.den = den
         return p
 
     @classmethod
     def const(cls, value) -> "LambdaPoly":
         q = as_rational(value)
-        return cls._raw((q,) if q else ())
+        return cls._new([q.numerator], q.denominator)
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "LambdaPoly":
         q = as_rational(coeff)
-        if not q:
-            return LP_ZERO
-        return cls._raw((RAT_ZERO,) * degree + (q,))
+        return cls._new([0] * degree + [q.numerator], q.denominator)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as rationals, lowest degree first."""
+        den = self.den
+        return tuple(Rational(c, den) for c in self.num)
 
     @property
     def degree(self) -> int:
         """Degree in the deformation parameter; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def coeff(self, i: int) -> Rational:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else RAT_ZERO
+        return Rational(self.num[i], self.den) if 0 <= i < len(self.num) else RAT_ZERO
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def constant_value(self) -> Rational:
         """The value of a constant polynomial, as a plain rational."""
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeffs[0] if self.coeffs else RAT_ZERO
+        return self.coeff(0)
 
     def eval(self, value) -> Rational:
         """Evaluate at a rational value of the deformation parameter."""
         v = as_rational(value)
-        acc = RAT_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        if not self.num:
+            return RAT_ZERO
+        p, q = v.numerator, v.denominator
+        # Horner over integers on q^degree * num(p/q); qk = q^(steps taken)
+        acc, qk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qk
+            qk *= q
+        return Rational(acc, self.den * q**self.degree)
 
     def scale_lambda(self, factor) -> "LambdaPoly":
         """Substitute factor * λ for λ."""
         f = as_rational(factor)
-        pw = RAT_ONE
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw = pw * f
-        return LambdaPoly._raw(_strip(out))
+        if not self.num:
+            return self
+        p, q = f.numerator, f.denominator
+        # c_i (p/q)^i over the common denominator den * q^degree
+        top = self.degree
+        num = [c * p**i * q ** (top - i) for i, c in enumerate(self.num)]
+        return LambdaPoly._new(num, self.den * q**top)
 
     def _coerce(self, other):
         if isinstance(other, LambdaPoly):
@@ -141,18 +173,25 @@ class LambdaPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            den = da
+        else:
+            g = gcd(da, db)
+            den = da // g * db
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LambdaPoly._raw(_strip(out))
+            out[i] += c
+        return LambdaPoly._new(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaPoly._raw(tuple(-c for c in self.coeffs))
+        return LambdaPoly._new([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -170,17 +209,15 @@ class LambdaPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o.num
         if not a or not b:
             return LP_ZERO
-        out = [RAT_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return LambdaPoly._raw(_strip(out))
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return LambdaPoly._new(out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -201,18 +238,18 @@ class LambdaPoly:
         return acc
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         if self.is_constant:
             return hash(self.constant_value())
-        return hash(("LambdaPoly", self.coeffs))
+        return hash(("LambdaPoly", self.num, self.den))
 
     def _terms(self, sym: str, latex: bool, xpart: str = "") -> list[tuple[bool, str]]:
         terms = []
@@ -244,9 +281,9 @@ class LambdaPoly:
         return f"LambdaPoly({self.text()!r})"
 
 
-LP_ZERO = LambdaPoly._raw(())
-LP_ONE = LambdaPoly._raw((RAT_ONE,))
-LAM = LambdaPoly._raw((RAT_ZERO, RAT_ONE))
+LP_ZERO = LambdaPoly._new([])
+LP_ONE = LambdaPoly._new([1])
+LAM = LambdaPoly._new([0, 1])
 
 
 class XPoly:
@@ -411,7 +448,7 @@ class XPoly:
             if not c:
                 continue
             xpart = _format_power(x_sym, k, latex)
-            if len([q for q in c.coeffs if q]) == 1:
+            if len([q for q in c.num if q]) == 1:
                 # single monomial in λ: fold signs and the trivial factor 1
                 terms.extend(c._terms(lam_sym, latex, xpart))
             elif k == 0:

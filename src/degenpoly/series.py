@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
+from .rational import RAT_ONE, RAT_ZERO, as_rational, is_scalar
 from .poly import LP_ONE, LP_ZERO, XP_ONE, XP_ZERO, LambdaPoly, XPoly, lambda_falling
 
 __all__ = [
@@ -267,19 +267,23 @@ class Series:
         return Series._raw(inner.var, n, tuple(out), ring)
 
     def exp(self) -> "Series":
-        """Exponential of a series with zero constant term."""
+        """Exponential of a series with zero constant term.
+
+        Comparing coefficients in (e^g)' = g' e^g gives the O(n^2)
+        recurrence m a_m = sum_{k=1..m} k g_k a_{m-k}.
+        """
         if self.coeffs[0]:
             raise ValueError("exp needs a zero constant term")
         n = self.order
+        kg = [k * c for k, c in enumerate(self.coeffs)]
         out = [self.ring.zero] * (n + 1)
         out[0] = self.ring.one
-        term = Series.one(self.var, n, self.ring)
-        for k in range(1, n + 1):
-            term = (term * self).scaled(Rational(1, k))
-            for idx in range(k, n + 1):
-                t = term.coeffs[idx]
-                if t:
-                    out[idx] = out[idx] + t
+        for m in range(1, n + 1):
+            s = self.ring.zero
+            for k in range(1, m + 1):
+                if kg[k]:
+                    s = s + kg[k] * out[m - k]
+            out[m] = s / m
         return Series._raw(self.var, n, tuple(out), self.ring)
 
     def derivative(self) -> "Series":

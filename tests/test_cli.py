@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,26 @@ def test_verify_rejects_negative_bounds(capsys, argv):
     assert "must be an int >= 0" in err
     assert "PASS" not in out
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "T8", "--n-max", "100000"),
+        ("verify", "--all", "--order", "101"),
+        ("table", "--family", "stirling2_deg", "--n", "100000"),
+        ("table", "--family", "stirling2_deg", "--n-max", "100000"),
+        ("eval", "--family", "geom_deg", "--n", "100000"),
+        ("table", "--family", "bell", "--n-max", "-1"),
+    ],
+)
+def test_out_of_range_bounds_fail_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_entry_point_subprocess():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from degenpoly.identities import (
+    MAX_BOUND,
     REGISTRY,
     Verdict,
     check_L2,
@@ -114,6 +115,27 @@ def test_bounds_must_be_nonnegative_ints(bad):
     # zero is a valid, if small, bound
     assert run_check("T8", {"n_max": 0}).checked_range == {"n_max": 0}
 
+
+
+def test_bounds_above_max_are_refused():
+    with pytest.raises(ValueError, match=f"must be at most {MAX_BOUND}"):
+        run_check("T8", {"n_max": MAX_BOUND + 1})
+    with pytest.raises(ValueError, match=f"must be at most {MAX_BOUND}"):
+        run_check("E50", {"order": 100000})
+    with pytest.raises(ValueError, match=f"must be at most {MAX_BOUND}"):
+        check_L2(n_max=10**9)
+    # every registered default sits inside the cap
+    for c in REGISTRY:
+        assert all(v <= MAX_BOUND for v in c.params.values() if type(v) is int)
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_T3_at_orders_below_its_degree(order):
+    # x^k g^(k) with k > order vanishes below x^(order+1), so small orders
+    # are checked on the columns that remain
+    v = run_check("T3", {"order": order})
+    assert v.ok and v.checked_range["order"] == order
+    assert not run_check("T3", {"order": order}, perturbed=True).ok
 
 
 def test_reproducible():

@@ -1,5 +1,7 @@
 """Exact polynomial layers: arithmetic, substitution, rendering."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from degenpoly.poly import (
     LP_ONE,
     LP_ZERO,
     X,
+    XP_ONE,
+    XP_ZERO,
     XPoly,
     LambdaPoly,
     lambda_falling,
@@ -17,7 +21,11 @@ from degenpoly.poly import (
 )
 
 rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))
-lambda_polys = st.builds(LambdaPoly, st.lists(rationals, max_size=4))
+# wide numerators and mixed denominators exercise the shared-denominator path
+wide_rationals = st.builds(Rational, st.integers(-10**12, 10**12), st.integers(1, 60))
+lambda_polys = st.builds(
+    LambdaPoly, st.lists(st.one_of(rationals, wide_rationals, st.integers(-99, 99)), max_size=6)
+)
 xpolys = st.builds(
     lambda rows: XPoly([LambdaPoly(r) for r in rows]),
     st.lists(st.lists(rationals, max_size=3), max_size=4),
@@ -68,21 +76,34 @@ def test_eval_chains():
 
 
 @given(lambda_polys, lambda_polys, lambda_polys)
-@settings(max_examples=60)
+@settings(max_examples=80)
 def test_lambda_poly_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + LP_ZERO == a == LP_ZERO + a
+    assert a * LP_ONE == a == LP_ONE * a
+    assert a * LP_ZERO == LP_ZERO
+    assert a + (-a) == LP_ZERO
+    assert a - b == -(b - a)
 
 
 @given(xpolys, xpolys, xpolys)
 @settings(max_examples=60)
 def test_xpoly_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
     assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + XP_ZERO == a == XP_ZERO + a
+    assert a * XP_ONE == a == XP_ONE * a
+    assert a * XP_ZERO == XP_ZERO
+    assert a + (-a) == XP_ZERO
 
 
 @given(xpolys, rationals, rationals)
@@ -155,9 +176,77 @@ def test_rendering_latex():
 def test_hash_consistent_with_scalar_equality():
     assert LambdaPoly.const(3) == 3
     assert hash(LambdaPoly.const(3)) == hash(Rational(3))
+    assert hash(LambdaPoly.const(Rational(5, 3))) == hash(Rational(5, 3))
+    assert hash(LP_ZERO) == hash(0)
     assert XPoly.const(3) == LambdaPoly.const(3) == 3
 
 
 def test_pow_guard():
     with pytest.raises(ValueError):
         X ** (-1)
+
+
+def _assert_canonical(p: LambdaPoly):
+    assert type(p.den) is int and p.den > 0
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+
+
+@given(lambda_polys, lambda_polys, st.one_of(rationals, wide_rationals))
+@settings(max_examples=80)
+def test_lambda_poly_canonical_form(a, b, q):
+    results = [a, b, a + b, a - b, a * b, -a, a * q, a.scale_lambda(q), a - a]
+    if q:
+        results.append(a / q)
+    for p in results:
+        _assert_canonical(p)
+    # the same value reached by another route has the same fields and hash
+    again = (3 * a + b) - b - 2 * a
+    assert (again.num, again.den) == (a.num, a.den)
+    assert hash(again) == hash(a)
+    rebuilt = LambdaPoly(a.coeffs)
+    assert (rebuilt.num, rebuilt.den) == (a.num, a.den)
+    assert ((a - a).num, (a - a).den) == ((), 1)
+
+
+def test_lambda_poly_storage_examples():
+    p = LambdaPoly([Rational(1, 2), Rational(-1, 3), 0, 0])
+    assert (p.num, p.den) == ((3, -2), 6)
+    assert p.coeffs == (Rational(1, 2), Rational(-1, 3))
+    assert p.coeff(1) == Rational(-1, 3) and p.coeff(7) == 0
+    # 1/2 + 1/2 reduces to the integer 1
+    half = LambdaPoly.const(Rational(1, 2))
+    assert ((half + half).num, (half + half).den) == ((1,), 1)
+    assert (LP_ZERO.num, LP_ZERO.den) == ((), 1)
+    assert LambdaPoly.monomial(0, 3) == LP_ZERO and LambdaPoly.monomial(0, 3).den == 1
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
+def _fraction_convolution(a, b):
+    out = [Rational(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@given(lambda_polys, lambda_polys, st.one_of(rationals, wide_rationals))
+@settings(max_examples=80)
+def test_lambda_poly_matches_fraction_reference(a, b, v):
+    ca, cb = a.coeffs, b.coeffs
+    assert all(type(c) is Rational for c in ca)
+    assert (a * b).coeffs == _fraction_convolution(ca, cb)
+    width = max(len(ca), len(cb))
+    padded = [(ca[i] if i < len(ca) else 0) + (cb[i] if i < len(cb) else 0) for i in range(width)]
+    while padded and not padded[-1]:
+        padded.pop()
+    assert (a + b).coeffs == tuple(padded)
+    assert a.eval(v) == sum((c * v**i for i, c in enumerate(ca)), Rational(0))
+    scaled = [c * v**i for i, c in enumerate(ca)]
+    while scaled and not scaled[-1]:
+        scaled.pop()
+    assert a.scale_lambda(v).coeffs == tuple(scaled)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenpoly.rational import Rational
-from degenpoly.poly import LambdaPoly, lambda_falling
+from degenpoly.poly import LAM, X, LambdaPoly, XPoly, lambda_falling
 from degenpoly.series import (
     LAMBDA_RING,
     RATIONAL_RING,
@@ -169,3 +169,40 @@ def test_exp_is_homomorphic(tail):
     s = Series("t", 6, [0] + tail, RATIONAL_RING)
     two = s + s
     assert two.exp() == s.exp() * s.exp()
+
+
+def _exp_by_powers(g: Series) -> Series:
+    # reference definition: sum of g^k / k!, one power at a time
+    n = g.order
+    out = [g.ring.zero] * (n + 1)
+    out[0] = g.ring.one
+    term = Series.one(g.var, n, g.ring)
+    for k in range(1, n + 1):
+        term = (term * g).scaled(Rational(1, k))
+        for idx in range(k, n + 1):
+            out[idx] = out[idx] + term.coeffs[idx]
+    return Series(g.var, n, out, g.ring)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
+def test_exp_matches_power_sum_reference_in_every_ring(order):
+    rat = Series("t", order, [0] + [Rational((-1) ** k * k, k + 2) for k in range(1, order + 1)],
+                 RATIONAL_RING)
+    lam = Series("t", order, [0] + [LambdaPoly([k, -1, Rational(1, k)]) for k in range(1, order + 1)],
+                 LAMBDA_RING)
+    xp = Series("t", order, [0] + [XPoly([Rational(1, k), LAM, k * LAM * LAM])
+                                   for k in range(1, order + 1)], XPOLY_RING)
+    for g in (rat, lam, xp):
+        assert g.exp() == _exp_by_powers(g)
+    # a λ-dependent series whose exponential is known: exp(λt) = sum (λt)^k / k!
+    lam_t = Series("t", order, [0, LAM][: order + 1], LAMBDA_RING)
+    assert lam_t.exp().coeffs == tuple(LAM**k / math.factorial(k) for k in range(order + 1))
+    x_t = Series("t", order, [0, X][: order + 1], XPOLY_RING)
+    assert x_t.exp().coeffs == tuple(X**k / math.factorial(k) for k in range(order + 1))
+
+
+@given(st.lists(rationals, min_size=1, max_size=12))
+@settings(max_examples=40)
+def test_exp_matches_power_sum_reference_random(tail):
+    g = Series("t", len(tail), [0] + tail, RATIONAL_RING)
+    assert g.exp() == _exp_by_powers(g)
