@@ -6,35 +6,28 @@ siblings x(x-λ)...(x-(n-1)λ).  The four change-of-basis tables between
 {x^n}, {falling}, {deformed falling} all follow from the three-term
 recurrence x (x)_k = (x)_{k+1} + k (x)_k and its deformed twin
 x (x)_{k,λ} = (x)_{k+1,λ} + kλ (x)_{k,λ}: each row is the previous one
-shifted by a column plus a step weight times itself, memoised row by
-row.
+shifted by a column plus a step weight times itself.
 
-The polynomial families are then weighted sums over one table row:
-Bell-style sums of table entries against powers of x, geometric
-(ordered-partition) sums with an extra k! or rising-factorial weight,
-and the Bernoulli-style sequences read off a reciprocal power series.
-A cache grows monotonically under one module lock, so concurrent
-readers are safe.
+The Bell and geometric families are weighted sums over one table row.
+The Bernoulli numbers follow the term recurrence of a reciprocal series
+and the Eulerian polynomials their derivative recurrence, so neither
+shares code with the generating series or the geometric polynomials it
+is checked against.  Each memoised sequence (both falling bases, the
+table rows, both Bernoulli sequences, the Eulerian polynomials) is one
+``_sequence``, grown in index order under one module lock, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from math import comb, factorial
 
 from dataclasses import dataclass
 
 from .rational import RAT_ONE, Rational
-from .poly import (
-    LAM,
-    LP_ONE,
-    LP_ZERO,
-    X,
-    XP_ONE,
-    LambdaPoly,
-    XPoly,
-    lambda_falling,
-)
+from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, lambda_falling
 from .series import LAMBDA_RING, RATIONAL_RING, XPOLY_RING, Series
 from .ratfunc import RationalFn, substitute_mobius
 
@@ -70,11 +63,22 @@ __all__ = [
 STIRLING_KINDS = ("S1", "S2", "S1deg", "S2deg")
 
 _LOCK = threading.RLock()
-_FALLING: list[XPoly] = [XP_ONE]
-_FALLING_DEG: list[XPoly] = [XP_ONE]
-_ROWS: dict[str, list[tuple[LambdaPoly, ...]]] = {k: [] for k in STIRLING_KINDS}
-_BETA_DEG: list[LambdaPoly] = []
-_BERNOULLI: list[Rational] = []
+
+
+def _sequence(step):
+    # reader of the memoised sequence whose term n is step(n, terms 0..n-1);
+    # a step may read other sequences, since the lock is reentrant
+    terms = []
+
+    def term(n: int):
+        if n < 0:
+            raise ValueError("index must be nonnegative")
+        with _LOCK:
+            while len(terms) <= n:
+                terms.append(step(len(terms), terms))
+            return terms[n]
+
+    return term
 
 
 def rising_product(base: int, m: int) -> int:
@@ -85,26 +89,18 @@ def rising_product(base: int, m: int) -> int:
     return out
 
 
+_falling = _sequence(lambda n, f: f[-1] * (X - (n - 1)) if n else XP_ONE)
+_falling_deg = _sequence(lambda n, f: f[-1] * (X - (n - 1) * LAM) if n else XP_ONE)
+
+
 def falling_factorial(n: int) -> XPoly:
     """Classical falling factorial x(x-1)...(x-n+1)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    with _LOCK:
-        while len(_FALLING) <= n:
-            j = len(_FALLING) - 1
-            _FALLING.append(_FALLING[-1] * (X - j))
-        return _FALLING[n]
+    return _falling(n)
 
 
 def falling_factorial_lambda(n: int) -> XPoly:
     """Deformed falling factorial x(x-λ)...(x-(n-1)λ)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    with _LOCK:
-        while len(_FALLING_DEG) <= n:
-            j = len(_FALLING_DEG) - 1
-            _FALLING_DEG.append(_FALLING_DEG[-1] * (X - XPoly.const(LambdaPoly.monomial(j, 1))))
-        return _FALLING_DEG[n]
+    return _falling_deg(n)
 
 
 # step weight a + bλ, as (a, b), in entry(n+1,k) = entry(n,k-1) + w(n,k) entry(n,k)
@@ -116,15 +112,19 @@ _STEP = {
 }
 
 
-def _build_row(kind: str, n: int) -> tuple[LambdaPoly, ...]:
+def _build_row(kind: str, n: int, rows) -> tuple[LambdaPoly, ...]:
     if n == 0:
         return (LP_ONE,)
-    prev = _ROWS[kind][n - 1] + (LP_ZERO,)
+    prev = rows[n - 1] + (LP_ZERO,)
     step = _STEP[kind]
     return tuple(
         (prev[k - 1] if k else LP_ZERO) + LambdaPoly(step(n - 1, k)) * prev[k]
         for k in range(n + 1)
     )
+
+
+# kind -> reader of its rows
+_TABLE = {kind: _sequence(functools.partial(_build_row, kind)) for kind in STIRLING_KINDS}
 
 
 def stirling(kind: str, n: int, k: int) -> LambdaPoly:
@@ -142,11 +142,7 @@ def stirling(kind: str, n: int, k: int) -> LambdaPoly:
         raise ValueError("table indices must be nonnegative")
     if k > n:
         return LP_ZERO
-    with _LOCK:
-        rows = _ROWS[kind]
-        while len(rows) <= n:
-            rows.append(_build_row(kind, len(rows)))
-        return rows[n][k]
+    return _TABLE[kind](n)[k]
 
 
 @dataclass(frozen=True)
@@ -166,10 +162,8 @@ class TriangularTable:
 
 
 def triangular_table(kind: str, n_max: int) -> TriangularTable:
-    stirling(kind, n_max, 0)  # force rows into the cache
-    with _LOCK:
-        rows = tuple(_ROWS[kind][n] for n in range(n_max + 1))
-    return TriangularTable(kind, n_max, rows)
+    stirling(kind, n_max, 0)  # checks the arguments and builds rows 0..n_max
+    return TriangularTable(kind, n_max, tuple(map(_TABLE[kind], range(n_max + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -229,60 +223,66 @@ def geometric_r(n: int, r: int) -> XPoly:
     return _weighted_row("S2", n, lambda k: rising_product(r, k))
 
 
+def _reciprocal_step(coeff, one):
+    # plain coefficients s_n of 1/(1 + coeff(1) t + coeff(2) t^2 + ...):
+    # s_0 = 1 and s_n = -(coeff(1) s_{n-1} + ... + coeff(n) s_0)
+    def step(n, s):
+        if n == 0:
+            return one
+        return -sum(coeff(k) * s[n - k] for k in range(1, n + 1) if s[n - k])
+
+    return step
+
+
+# t-coefficients (1)_{k+1,λ}/(k+1)! of (deformed exponential - 1)/t
+_e_lambda_quotient = _sequence(lambda k, _: lambda_falling(1, k + 1) / factorial(k + 1))
+_bernoulli_deg = _sequence(_reciprocal_step(_e_lambda_quotient, LP_ONE))
+_bernoulli = _sequence(_reciprocal_step(lambda k: Rational(1, factorial(k + 1)), RAT_ONE))
+
+
 def bernoulli_deg(n: int) -> LambdaPoly:
     """Deformed Bernoulli number (a polynomial in λ), Carlitz style.
 
     Defined by the reciprocal of the series sum_m (1)_{m+1,λ} t^m/(m+1)!,
     i.e. t divided by the deformed exponential minus one.  At λ = 0 it
     degenerates to the classical Bernoulli number with B_1 = -1/2.
+    Computed as n! s_n, where s_n follows the reciprocal recurrence
+    s_0 = 1, s_n = -sum_{k=1..n} (1)_{k+1,λ}/(k+1)! s_{n-k}.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    with _LOCK:
-        if n >= len(_BETA_DEG):
-            order = max(n, 2 * len(_BETA_DEG), 8)
-            s = bernoulli_deg_gf(order)
-            _BETA_DEG[:] = [factorial(m) * s.coeff(m) for m in range(order + 1)]
-        return _BETA_DEG[n]
+    return _bernoulli_deg(n) * factorial(n)
 
 
 def bernoulli_number(n: int) -> Rational:
     """Classical Bernoulli number, B_1 = -1/2 convention."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    with _LOCK:
-        if n >= len(_BERNOULLI):
-            order = max(n, 2 * len(_BERNOULLI), 8)
-            s = Series(
-                "t", order, [Rational(1, factorial(m + 1)) for m in range(order + 1)], RATIONAL_RING
-            ).reciprocal()
-            _BERNOULLI[:] = [factorial(m) * s.coeff(m) for m in range(order + 1)]
-        return _BERNOULLI[n]
+    return _bernoulli(n) * factorial(n)
 
 
 def bernoulli_poly(n: int) -> XPoly:
     """Classical Bernoulli polynomial via the binomial sum over B_k."""
-    out = XPoly()
-    for k in range(n + 1):
-        b = bernoulli_number(k)
-        if b:
-            out = out + XPoly.monomial(comb(n, k) * b, n - k)
-    return out
+    # coefficient of x^i is C(n, i) B_{n-i}
+    return XPoly(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
+
+
+@_sequence
+def _eulerian(m, a):
+    # A_m = x((1-x)A'_{m-1} + m A_{m-1}), read off coefficient by coefficient:
+    # [x^i] A_m = i [x^i] A_{m-1} + (m-i+1) [x^{i-1}] A_{m-1}
+    if m == 0:
+        return XP_ONE
+    c = a[m - 1].coeff
+    return XPoly([LP_ZERO] + [i * c(i) + (m - i + 1) * c(i - 1) for i in range(1, m + 1)])
 
 
 def eulerian_poly(m: int) -> XPoly:
-    """Eulerian polynomial, defined here as (1-x)^m W_m(x/(1-x)).
+    """Eulerian polynomial, equal to (1-x)^m W_m(x/(1-x)).
 
     W_m is the classical geometric polynomial; since deg W_m = m the
     denominator cancels exactly and the result is a polynomial with
     A_0 = 1 and A_m(0) = 0 for m >= 1.  Its coefficients count
-    permutations by descents, so they sum to m!.
+    permutations by descents, so they sum to m!.  Built from the
+    recurrence A_m = x((1-x)A'_{m-1} + m A_{m-1}), independently of W_m.
     """
-    w = geometric(m)
-    if w.degree != m:
-        raise RuntimeError(f"geometric polynomial {m} has degree {w.degree}")
-    rf = substitute_mobius(w, -1)
-    return rf.num
+    return _eulerian(m)
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +316,10 @@ def binom_series(r: int, order: int, var: str = "x") -> Series:
     return Series(var, order, [comb(r + k - 1, k) for k in range(order + 1)], RATIONAL_RING)
 
 
-def _x_exp_minus_one(order: int) -> Series:
-    # x (e^t - 1) as a series in t with XPoly coefficients
-    coeffs = [XPoly()] + [XPoly.monomial(Rational(1, factorial(k)), 1) for k in range(1, order + 1)]
-    return Series("t", order, coeffs, XPOLY_RING)
-
-
-def _x_e_lambda_minus_one(order: int) -> Series:
-    # x (deformed exp(t) - 1), the deformed sibling of the above
-    coeffs = [XPoly()] + [
-        XPoly.monomial(lambda_falling(1, k) / factorial(k), 1) for k in range(1, order + 1)
-    ]
-    return Series("t", order, coeffs, XPOLY_RING)
+def _x_times_minus_one(e: Series) -> Series:
+    # x (e(t) - 1) as a series in t with XPoly coefficients
+    coeffs = [XPoly()] + [XPoly.monomial(c, 1) for c in e.coeffs[1:]]
+    return Series("t", e.order, coeffs, XPOLY_RING)
 
 
 def bell_deg_gf(order: int) -> Series:
@@ -335,7 +327,7 @@ def bell_deg_gf(order: int) -> Series:
 
     Built as the deformed exponential composed with x(e^t - 1).
     """
-    return e_lambda_series(order, "u").compose(_x_exp_minus_one(order))
+    return e_lambda_series(order, "u").compose(_x_times_minus_one(exp_series(order)))
 
 
 def bell_partial_deg_gf(order: int) -> Series:
@@ -343,7 +335,7 @@ def bell_partial_deg_gf(order: int) -> Series:
 
     Built as exp of x times (deformed exponential - 1).
     """
-    return _x_e_lambda_minus_one(order).exp()
+    return _x_times_minus_one(e_lambda_series(order)).exp()
 
 
 def geometric_deg_gf(order: int) -> Series:
@@ -352,7 +344,7 @@ def geometric_deg_gf(order: int) -> Series:
     Built as the reciprocal of 1 - x(deformed exponential - 1).
     """
     one = Series.one("t", order, XPOLY_RING)
-    return (one - _x_e_lambda_minus_one(order)).reciprocal()
+    return (one - _x_times_minus_one(e_lambda_series(order))).reciprocal()
 
 
 def bernoulli_deg_gf(order: int) -> Series:

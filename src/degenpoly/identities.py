@@ -89,6 +89,13 @@ class IdentityCheck:
 _CHECKS: list[IdentityCheck] = []
 
 
+def _check_bound(check_id: str, name: str, value) -> None:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{check_id}: {name} must be an int >= 0, got {value!r}")
+    if value > MAX_BOUND:
+        raise ValueError(f"{check_id}: {name} must be at most {MAX_BOUND}, got {value}")
+
+
 def _check(check_id: str, fault: str, **fixed):
     """Register the decorated check body under check_id.
 
@@ -108,11 +115,7 @@ def _check(check_id: str, fault: str, **fixed):
             call = sig.bind(*args, **fixed, **kwargs)
             call.apply_defaults()
             for name in bounds:
-                value = call.arguments[name]
-                if type(value) is not int or value < 0:
-                    raise ValueError(f"{check_id}: {name} must be an int >= 0, got {value!r}")
-                if value > MAX_BOUND:
-                    raise ValueError(f"{check_id}: {name} must be at most {MAX_BOUND}, got {value}")
+                _check_bound(check_id, name, call.arguments[name])
             params = {**fixed, **{name: call.arguments[name] for name in bounds}}
             failure = body(*call.args, **call.kwargs)
             if failure is None:
@@ -551,6 +554,18 @@ REGISTRY: tuple[IdentityCheck, ...] = tuple(sorted(_CHECKS, key=lambda c: c.id))
 _BY_ID = {c.id: c for c in REGISTRY}
 
 
+def _bounds(entry: IdentityCheck, overrides: dict | None) -> dict:
+    # the overrides that reach entry's integer bounds, each checked in
+    # the order the check's own wrapper checks them
+    out = {}
+    for name, default in entry.params.items():
+        value = (overrides or {}).get(name)
+        if value is not None and isinstance(default, int):
+            _check_bound(entry.id, name, value)
+            out[name] = value
+    return out
+
+
 def run_check(check_id: str, overrides: dict | None = None, perturbed=False) -> Verdict:
     """Run one registered check, optionally overriding its default bounds.
 
@@ -562,12 +577,7 @@ def run_check(check_id: str, overrides: dict | None = None, perturbed=False) -> 
     except KeyError:
         known = ", ".join(sorted(_BY_ID))
         raise ValueError(f"unknown check {check_id!r}; known: {known}") from None
-    bounds = {
-        key: val
-        for key, val in (overrides or {}).items()
-        if val is not None and isinstance(entry.params.get(key), int)
-    }
-    return entry.fn(**bounds, perturbed=perturbed)
+    return entry.fn(**_bounds(entry, overrides), perturbed=perturbed)
 
 
 def run_all(prefix: str | None = None, overrides: dict | None = None, negative_control=False):
@@ -575,17 +585,21 @@ def run_all(prefix: str | None = None, overrides: dict | None = None, negative_c
 
     negative_control may be True (inject every registered fault) or a
     single check id (inject only that one, leaving the rest honest).
+    Every override is checked against every selected check's bounds
+    before any check runs.
     """
-    ids = [c.id for c in REGISTRY if prefix is None or c.id.startswith(prefix)]
-    if not ids:
+    entries = [c for c in REGISTRY if prefix is None or c.id.startswith(prefix)]
+    if not entries:
         known = ", ".join(c.id for c in REGISTRY)
         raise ValueError(f"no check id starts with {prefix!r}; known: {known}")
     if isinstance(negative_control, str) and negative_control not in _BY_ID:
         known = ", ".join(sorted(_BY_ID))
         raise ValueError(f"unknown check {negative_control!r}; known: {known}")
+    for c in entries:
+        _bounds(c, overrides)
     return [
-        run_check(i, overrides, negative_control is True or negative_control == i)
-        for i in ids
+        run_check(c.id, overrides, negative_control is True or negative_control == c.id)
+        for c in entries
     ]
 
 

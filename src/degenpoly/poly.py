@@ -19,7 +19,7 @@ such as ``2 * p - q / 3`` works without ceremony.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
 
@@ -319,11 +319,6 @@ class XPoly:
         if not c:
             return XP_ZERO
         return cls._raw((LP_ZERO,) * degree + (c,))
-
-    @classmethod
-    def from_rationals(cls, coeffs: Sequence) -> "XPoly":
-        """Build a λ-free polynomial from plain rational coefficients."""
-        return cls(coeffs)
 
     @property
     def degree(self) -> int:

@@ -129,12 +129,8 @@ class Series:
         return s
 
     @classmethod
-    def constant(cls, value, var: str, order: int, ring: CoefficientRing) -> "Series":
-        return cls(var, order, [value], ring)
-
-    @classmethod
     def one(cls, var: str, order: int, ring: CoefficientRing) -> "Series":
-        return cls.constant(1, var, order, ring)
+        return cls(var, order, [1], ring)
 
     def coeff(self, n: int):
         if not 0 <= n <= self.order:

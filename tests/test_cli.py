@@ -215,6 +215,7 @@ def test_verify_rejects_negative_bounds(capsys, argv):
     [
         ("verify", "T8", "--n-max", "100000"),
         ("verify", "--all", "--order", "101"),
+        ("verify", "--all", "--n-max", "100", "--order", "101"),
         ("table", "--family", "stirling2_deg", "--n", "100000"),
         ("table", "--family", "stirling2_deg", "--n-max", "100000"),
         ("eval", "--family", "geom_deg", "--n", "100000"),

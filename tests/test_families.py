@@ -1,6 +1,7 @@
 """Polynomial families, change-of-basis tables, generating series."""
 
 import math
+import random
 import threading
 
 import pytest
@@ -143,11 +144,16 @@ def test_triangular_table():
 
 def test_table_cache_is_thread_safe():
     results = []
+    sequences = (falling_factorial_lambda, bernoulli_deg, bernoulli_number, eulerian_poly)
 
-    def work():
-        results.append(triangular_table("S1deg", 25))
+    def work(seed):
+        # every thread pulls every sequence at its own shuffled indices
+        order = list(range(26))
+        random.Random(seed).shuffle(order)
+        got = {f.__name__: {n: f(n) for n in order} for f in sequences}
+        results.append((triangular_table("S1deg", 25), got))
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
     for th in threads:
         th.start()
     for th in threads:

@@ -1,6 +1,8 @@
 """Identity checks: the registry, verdicts, and fault injection."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,25 @@ def test_run_all_default_green():
     verdicts = run_all()
     assert [v.id for v in verdicts] == ALL_IDS
     assert all(v.ok for v in verdicts)
+
+
+@pytest.mark.parametrize(
+    "negative_control, golden",
+    [(False, "verify_all.json"), (True, "verify_all_negative_control.json")],
+)
+def test_run_all_matches_golden_verdicts(negative_control, golden):
+    # the verdicts of the whole suite, byte for byte, as first recorded
+    want = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert verdicts_to_json(run_all(negative_control=negative_control)) == want
+
+
+def test_run_all_checks_overrides_before_running_any_check():
+    # n_max 100 is valid everywhere, order 101 nowhere; E50 is the first
+    # check with an order bound, and nothing runs before the refusal
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^E50: order must be at most 100, got 101$"):
+        run_all(overrides={"n_max": 100, "order": 101})
+    assert time.perf_counter() - t0 < 1
 
 
 def test_run_all_prefix():

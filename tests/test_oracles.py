@@ -2,15 +2,30 @@
 
 The tables are built by row recurrences; here each row must instead
 rebuild the basis polynomial it is defined by, multiplied out from
-scratch, and the classical entries must match sympy.
+scratch, and the classical entries must match sympy.  The Eulerian
+polynomials and the deformed Bernoulli numbers, built from their own
+recurrences, are checked against permutation descents, the Möbius image
+of the geometric polynomials and the reciprocal generating series.
 """
 
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from degenpoly.poly import LAM, X, XP_ONE, XPoly
-from degenpoly.families import STIRLING_KINDS, bell_poly, bernoulli_number, stirling
+from degenpoly.ratfunc import substitute_mobius
+from degenpoly.families import (
+    STIRLING_KINDS,
+    bell_poly,
+    bernoulli_deg,
+    bernoulli_deg_gf,
+    bernoulli_number,
+    eulerian_poly,
+    geometric,
+    stirling,
+)
 
 
 def _falling(step, n):
@@ -51,3 +66,25 @@ def test_classical_values_match_sympy():
         b = sympy.bernoulli(n)
         want = Fraction(int(b.p), int(b.q))
         assert bernoulli_number(n) == (-want if n == 1 else want), n
+
+
+def test_eulerian_counts_permutations_by_descents():
+    for m in range(8):
+        counts = [0] * (m + 1)
+        for p in permutations(range(m)):
+            descents = sum(p[i] > p[i + 1] for i in range(m - 1))
+            # A_0 = 1; for m >= 1, coefficient k counts k - 1 descents
+            counts[descents + 1 if m else 0] += 1
+        assert eulerian_poly(m) == XPoly(counts), m
+
+
+def test_eulerian_is_the_mobius_image_of_the_geometric_polynomial():
+    # the former definition: (1-x)^m W_m(x/(1-x)), the denominator cleared
+    for m in range(31):
+        assert eulerian_poly(m) == substitute_mobius(geometric(m), -1).num, m
+
+
+def test_deformed_bernoulli_matches_its_generating_series():
+    s = bernoulli_deg_gf(40)
+    for n in range(41):
+        assert bernoulli_deg(n) == factorial(n) * s.coeff(n), n

@@ -11,7 +11,7 @@ from degenpoly.series import NonInvertibleError
 from degenpoly.families import bell_deg, bell_second_deg, bell_partial_deg, geometric_deg
 
 rationals = st.builds(Rational, st.integers(-6, 6), st.integers(1, 6))
-xpolys = st.builds(XPoly.from_rationals, st.lists(rationals, max_size=4))
+xpolys = st.builds(XPoly, st.lists(rationals, max_size=4))
 
 
 def test_denominator_must_be_unit():
