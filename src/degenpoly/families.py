@@ -172,7 +172,7 @@ def triangular_table(kind: str, n_max: int) -> TriangularTable:
 
 def _weighted_row(kind: str, n: int, weight) -> XPoly:
     # sum over k of weight(k) * entry(n, k) * x^k
-    return XPoly(weight(k) * stirling(kind, n, k) for k in range(n + 1))
+    return XPoly(weight(k) * entry for k, entry in enumerate(_TABLE[kind](n)))
 
 
 def bell_deg(n: int) -> XPoly:
@@ -259,6 +259,8 @@ def bernoulli_number(n: int) -> Rational:
 
 def bernoulli_poly(n: int) -> XPoly:
     """Classical Bernoulli polynomial via the binomial sum over B_k."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
     # coefficient of x^i is C(n, i) B_{n-i}
     return XPoly(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 

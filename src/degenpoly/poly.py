@@ -11,15 +11,19 @@ it is effectively a bivariate polynomial in (x, λ).  Both are dense,
 lowest degree first, with no trailing zeros; the zero polynomial has no
 coefficients.  Instances are immutable and all arithmetic is exact.
 
-Scalars (ints, rationals) coerce into either class on the fly, and a
-LambdaPoly coerces into an XPoly as a constant, so mixed arithmetic
-such as ``2 * p - q / 3`` works without ceremony.
+Values embed along one chain, scalar (int or rational) -> LambdaPoly
+-> XPoly -> RationalFn (in ratfunc): each type's ``_coerce`` lifts only
+the type one step below it, and every other site embeds through the
+classmethod ``coerce``, which raises TypeError for a value that does
+not embed.  The private base ``_Exact`` writes the derived operators
+once for all three types, so mixed arithmetic such as ``2 * p - q / 3``
+works in any combination.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
 
@@ -71,7 +75,70 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
-class LambdaPoly:
+class _Exact:
+    """Operators shared by LambdaPoly, XPoly and RationalFn.
+
+    A subclass supplies ``_coerce`` (the value itself, or a value of the
+    type one step down the embedding chain lifted into the subclass,
+    else None), ``__add__``, ``__neg__``, ``__mul__``, ``text`` and its
+    one value ``_ONE``; everything here follows from those.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def coerce(cls, value):
+        """The value embedded into this type; TypeError if it does not embed."""
+        v = cls._coerce(value)
+        if v is None:
+            raise TypeError(f"{value!r} does not embed into {cls.__name__}")
+        return v
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __truediv__(self, other):
+        if not is_scalar(other):
+            return NotImplemented
+        q = as_rational(other)
+        if not q:
+            raise ZeroDivisionError(f"division of a {type(self).__name__} by zero")
+        return self * (RAT_ONE / q)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers must be nonnegative integers")
+        acc = self._ONE
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def latex(self) -> str:
+        return self.text("\\lambda", latex=True)
+
+    def __str__(self):
+        return self.text()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.text()!r})"
+
+
+class LambdaPoly(_Exact):
     """Polynomial in the deformation parameter with rational coefficients.
 
     Stored as integer numerators ``num`` (lowest degree first, no
@@ -162,7 +229,8 @@ class LambdaPoly:
         num = [c * p**i * q ** (top - i) for i, c in enumerate(self.num)]
         return LambdaPoly._new(num, self.den * q**top)
 
-    def _coerce(self, other):
+    @classmethod
+    def _coerce(cls, other):
         if isinstance(other, LambdaPoly):
             return other
         if is_scalar(other):
@@ -188,22 +256,8 @@ class LambdaPoly:
             out[i] += c
         return LambdaPoly._new(out, den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LambdaPoly._new([-c for c in self.num], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -218,24 +272,6 @@ class LambdaPoly:
                 for j, bj in enumerate(b, i):
                     out[j] += ai * bj
         return LambdaPoly._new(out, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not is_scalar(other):
-            return NotImplemented
-        q = as_rational(other)
-        if not q:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (RAT_ONE / q)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        acc = LP_ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def __bool__(self):
         return bool(self.num)
@@ -271,36 +307,19 @@ class LambdaPoly:
         """Canonical rendering: increasing degree, p/q rationals, explicit ^."""
         return _join_terms(self._terms(sym, latex))
 
-    def latex(self) -> str:
-        return self.text(sym="\\lambda", latex=True)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"LambdaPoly({self.text()!r})"
-
 
 LP_ZERO = LambdaPoly._new([])
-LP_ONE = LambdaPoly._new([1])
+LP_ONE = LambdaPoly._ONE = LambdaPoly._new([1])
 LAM = LambdaPoly._new([0, 1])
 
 
-class XPoly:
+class XPoly(_Exact):
     """Polynomial in x whose coefficients are LambdaPoly values."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, LambdaPoly):
-                cs.append(c)
-            elif is_scalar(c):
-                cs.append(LambdaPoly.const(c))
-            else:
-                raise TypeError(f"bad XPoly coefficient: {c!r}")
-        self.coeffs = _strip(cs)
+        self.coeffs = _strip([LambdaPoly.coerce(c) for c in coeffs])
 
     @classmethod
     def _raw(cls, coeffs: tuple) -> "XPoly":
@@ -310,12 +329,11 @@ class XPoly:
 
     @classmethod
     def const(cls, value) -> "XPoly":
-        c = value if isinstance(value, LambdaPoly) else LambdaPoly.const(value)
-        return cls._raw((c,) if c else ())
+        return cls.monomial(value, 0)
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "XPoly":
-        c = coeff if isinstance(coeff, LambdaPoly) else LambdaPoly.const(coeff)
+        c = LambdaPoly.coerce(coeff)
         if not c:
             return XP_ZERO
         return cls._raw((LP_ZERO,) * degree + (c,))
@@ -353,12 +371,12 @@ class XPoly:
     def scale_lambda(self, factor) -> "XPoly":
         return XPoly._raw(_strip([c.scale_lambda(factor) for c in self.coeffs]))
 
-    def _coerce(self, other):
+    @classmethod
+    def _coerce(cls, other):
         if isinstance(other, XPoly):
             return other
-        if isinstance(other, LambdaPoly) or is_scalar(other):
-            return XPoly.const(other)
-        return None
+        c = LambdaPoly._coerce(other)
+        return None if c is None else XPoly.monomial(c, 0)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -372,22 +390,8 @@ class XPoly:
             out[i] = out[i] + c
         return XPoly._raw(_strip(out))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return XPoly._raw(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -404,24 +408,6 @@ class XPoly:
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
         return XPoly._raw(_strip(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not is_scalar(other):
-            return NotImplemented
-        q = as_rational(other)
-        if not q:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (RAT_ONE / q)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        acc = XP_ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -452,21 +438,10 @@ class XPoly:
                 terms.append((False, f"({c.text(lam_sym, latex)}){xpart}"))
         return _join_terms(terms)
 
-    def latex(self) -> str:
-        return self.text(lam_sym="\\lambda", latex=True)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"XPoly({self.text()!r})"
-
 
 XP_ZERO = XPoly._raw(())
-XP_ONE = XPoly._raw((LP_ONE,))
+XP_ONE = XPoly._ONE = XPoly._raw((LP_ONE,))
 X = XPoly._raw((LP_ZERO, LP_ONE))
-
-PolyLike = Union[LambdaPoly, XPoly]
 
 
 def lambda_falling(base, m: int) -> LambdaPoly:
@@ -479,14 +454,14 @@ def lambda_falling(base, m: int) -> LambdaPoly:
     """
     if m < 0:
         raise ValueError("falling products need a nonnegative length")
-    b = base if isinstance(base, LambdaPoly) else LambdaPoly.const(base)
+    b = LambdaPoly.coerce(base)
     acc = LP_ONE
     for j in range(m):
         acc = acc * (b - LambdaPoly.monomial(j, 1))
     return acc
 
 
-def lambda_substitute(p: PolyLike, *, value=None, scale=None) -> PolyLike:
+def lambda_substitute(p: LambdaPoly | XPoly, *, value=None, scale=None) -> LambdaPoly | XPoly:
     """Exact substitution for the deformation parameter.
 
     Exactly one of the keywords must be given: value=c performs λ -> c

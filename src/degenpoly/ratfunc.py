@@ -6,6 +6,11 @@ admits a power-series expansion around x = 0.  No gcd reduction is
 attempted; equality is decided by cross-multiplication, which is exact
 and cheap at the sizes that occur here.
 
+RationalFn is the last link of the embedding chain described in poly:
+its ``_coerce`` lifts anything that embeds into XPoly to a quotient
+over 1, and its derived operators, division by a scalar included, come
+from poly's ``_Exact`` base.
+
 The module also provides the two substitution rules that do the heavy
 lifting elsewhere: the Möbius substitution x -> x/(1 + s*x) applied to
 a polynomial (returning a RationalFn with denominator (1+s*x)^deg) and
@@ -18,8 +23,8 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence, Union
 
-from .rational import Rational, as_rational, is_scalar
-from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly
+from .rational import Rational
+from .poly import XP_ONE, LambdaPoly, XPoly, _Exact
 from .series import LAMBDA_RING, NonInvertibleError, Series
 
 __all__ = [
@@ -34,22 +39,14 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function where its denominator vanishes."""
 
 
-def _as_xpoly(v) -> XPoly:
-    if isinstance(v, XPoly):
-        return v
-    if isinstance(v, LambdaPoly) or is_scalar(v):
-        return XPoly.const(v)
-    raise TypeError(f"cannot use {v!r} as a polynomial in x")
-
-
-class RationalFn:
+class RationalFn(_Exact):
     """Quotient of two XPoly values, expandable around x = 0."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=XP_ONE):
-        num = _as_xpoly(num)
-        den = _as_xpoly(den)
+        num = XPoly.coerce(num)
+        den = XPoly.coerce(den)
         c = den.coeff(0)
         if not (c.is_constant and c):
             raise NonInvertibleError(
@@ -58,13 +55,12 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    def _coerce(self, other):
+    @classmethod
+    def _coerce(cls, other):
         if isinstance(other, RationalFn):
             return other
-        try:
-            return RationalFn(_as_xpoly(other))
-        except TypeError:
-            return None
+        p = XPoly._coerce(other)
+        return None if p is None else RationalFn(p)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -81,35 +77,14 @@ class RationalFn:
             return NotImplemented
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return RationalFn(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("rational function powers must be nonnegative integers")
-        return RationalFn(self.num**n, self.den**n)
 
     def expand(self, order: int) -> Series:
         """Power-series expansion in x to the given order, λ kept symbolic."""
@@ -144,14 +119,8 @@ class RationalFn:
             return num
         return f"({num}) / ({den})"
 
-    def latex(self) -> str:
-        return self.text(lam_sym="\\lambda", latex=True)
 
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"RationalFn({self.text()!r})"
+RationalFn._ONE = RationalFn(XP_ONE)
 
 
 def substitute_mobius(p: XPoly, shift) -> RationalFn:
@@ -163,9 +132,8 @@ def substitute_mobius(p: XPoly, shift) -> RationalFn:
     shift = -λ it undoes that; with shift = -1 it is the x/(1-x)
     substitution that turns geometric polynomials into Eulerian ones.
     """
-    p = _as_xpoly(p)
-    s = shift if isinstance(shift, LambdaPoly) else LambdaPoly.const(as_rational(shift))
-    base = XP_ONE + XPoly.monomial(s, 1)
+    p = XPoly.coerce(p)
+    base = XP_ONE + XPoly.monomial(shift, 1)
     d = p.degree
     if d < 0:
         return RationalFn(XPoly(), XP_ONE)
@@ -190,7 +158,7 @@ def gamma_moment(y_coeffs: Sequence[Union[XPoly, LambdaPoly]]) -> XPoly:
     """
     out = XPoly()
     for k, c in enumerate(y_coeffs):
-        c = _as_xpoly(c)
+        c = XPoly.coerce(c)
         if c:
             out = out + factorial(k) * c
     return out

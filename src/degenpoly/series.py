@@ -68,26 +68,10 @@ def _invert_rational(v):
     return RAT_ONE / v
 
 
-def _coerce_lambda(v):
-    if isinstance(v, LambdaPoly):
-        return v
-    if is_scalar(v):
-        return LambdaPoly.const(v)
-    raise TypeError(f"not a LambdaPoly coefficient: {v!r}")
-
-
 def _invert_lambda(v):
     if not (v.is_constant and v):
         raise NonInvertibleError(f"constant term {v} is not a unit")
     return LambdaPoly.const(RAT_ONE / v.constant_value())
-
-
-def _coerce_xpoly(v):
-    if isinstance(v, XPoly):
-        return v
-    if isinstance(v, LambdaPoly) or is_scalar(v):
-        return XPoly.const(v)
-    raise TypeError(f"not an XPoly coefficient: {v!r}")
 
 
 def _invert_xpoly(v):
@@ -98,8 +82,8 @@ def _invert_xpoly(v):
 
 
 RATIONAL_RING = CoefficientRing("rational", 0, RAT_ZERO, RAT_ONE, _coerce_rational, _invert_rational)
-LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, _coerce_lambda, _invert_lambda)
-XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, _coerce_xpoly, _invert_xpoly)
+LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, LambdaPoly.coerce, _invert_lambda)
+XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, XPoly.coerce, _invert_xpoly)
 
 
 class Series:
@@ -203,16 +187,19 @@ class Series:
                     if bj:
                         out[i + j] = out[i + j] + ai * bj
             return Series._raw(self.var, n, tuple(out), self.ring)
-        return self.scaled(other)
+        try:
+            return self.scaled(other)
+        except TypeError:
+            return NotImplemented
 
     __rmul__ = __mul__
 
     def scaled(self, factor) -> "Series":
-        """Multiply every coefficient by a fixed ring element."""
-        try:
-            c = self.ring.coerce(factor)
-        except TypeError:
-            return NotImplemented
+        """Multiply every coefficient by a fixed ring element.
+
+        Raises TypeError when the factor does not embed into the ring.
+        """
+        c = self.ring.coerce(factor)
         return Series._raw(self.var, self.order, tuple(c * a for a in self.coeffs), self.ring)
 
     def reciprocal(self) -> "Series":

@@ -129,6 +129,31 @@ def test_stirling_argument_guards():
         stirling("S1", 1, -1)
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        bell_deg,
+        bell_poly,
+        bell_partial_deg,
+        bell_second_deg,
+        geometric_deg,
+        geometric,
+        pytest.param(lambda n: geometric_r(n, 2), id="geometric_r"),
+        bernoulli_deg,
+        bernoulli_number,
+        bernoulli_poly,
+        eulerian_poly,
+        falling_factorial,
+        falling_factorial_lambda,
+        pytest.param(lambda n: stirling("S2", n, 0), id="stirling"),
+        pytest.param(lambda n: triangular_table("S2", n), id="triangular_table"),
+    ],
+)
+def test_every_family_refuses_a_negative_index(family):
+    with pytest.raises(ValueError):
+        family(-1)
+
+
 def test_triangular_table():
     t = triangular_table("S2", 5)
     assert t.kind == "S2" and t.n_max == 5

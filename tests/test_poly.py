@@ -19,6 +19,8 @@ from degenpoly.poly import (
     lambda_falling,
     lambda_substitute,
 )
+from degenpoly.ratfunc import RationalFn
+from degenpoly.series import LAMBDA_RING, Series
 
 rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))
 # wide numerators and mixed denominators exercise the shared-denominator path
@@ -184,6 +186,49 @@ def test_hash_consistent_with_scalar_equality():
 def test_pow_guard():
     with pytest.raises(ValueError):
         X ** (-1)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        LambdaPoly([1, Rational(1, 2)]),
+        XPoly([1, LAM, Rational(-2, 3)]),
+        RationalFn(X, XP_ONE + LAM * X),
+    ],
+    ids=["LambdaPoly", "XPoly", "RationalFn"],
+)
+def test_shared_operators(v):
+    two = Rational(2)
+    assert 2 + v == v + 2 == v + two and type(2 + v) is type(v)
+    assert (2 + v) - v == 2
+    assert v - 2 == -(2 - v) and type(2 - v) is type(v)
+    assert 1 - v == -(v - 1)
+    assert 2 * v == v * 2 == v + v and type(2 * v) is type(v)
+    assert Rational(1, 3) * v * 3 == v
+    assert v / 2 == v * Rational(1, 2) and (v / 2) * 2 == v
+    assert v**0 == 1
+    assert v**3 == v * v * v
+    with pytest.raises(ValueError):
+        v ** (-1)
+    assert repr(v).startswith(f"{type(v).__name__}(")
+    assert str(v) == v.text()
+    with pytest.raises(TypeError):
+        v + object()
+    with pytest.raises(TypeError):
+        object() * v
+
+
+def test_values_that_do_not_embed_raise_type_error():
+    with pytest.raises(TypeError):
+        XPoly([1, object()])
+    with pytest.raises(TypeError):
+        RationalFn(object())
+    with pytest.raises(TypeError):
+        RationalFn(X, object())
+    with pytest.raises(TypeError):
+        Series("x", 2, [1, object()], LAMBDA_RING)
+    with pytest.raises(TypeError):
+        XPoly.coerce(RationalFn(X))
 
 
 def _assert_canonical(p: LambdaPoly):

@@ -60,6 +60,16 @@ def test_mate_checks():
         lam.promote(RATIONAL_RING)
 
 
+def test_scaled_refuses_a_factor_outside_the_ring():
+    s = e_lambda_series(3)
+    with pytest.raises(TypeError):
+        s.scaled(object())
+    with pytest.raises(TypeError):
+        s * object()
+    with pytest.raises(TypeError):
+        object() * s
+
+
 def test_geometric_reciprocal():
     one_minus_t = Series("t", 8, [1, -1], RATIONAL_RING)
     assert one_minus_t.reciprocal().coeffs == (1,) * 9
