@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -232,7 +233,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and shared by every later call in the process;
+    # parse_args keeps no state between calls
     p = argparse.ArgumentParser(
         prog="degenpoly",
         description="Exact tables, evaluations, and identity verification for "

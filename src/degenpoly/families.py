@@ -12,10 +12,19 @@ The Bell and geometric families are weighted sums over one table row.
 The Bernoulli numbers follow the term recurrence of a reciprocal series
 and the Eulerian polynomials their derivative recurrence, so neither
 shares code with the generating series or the geometric polynomials it
-is checked against.  Each memoised sequence (both falling bases, the
-table rows, both Bernoulli sequences, the Eulerian polynomials) is one
-``_sequence``, grown in index order under one module lock, so
-concurrent readers are safe.
+is checked against.  Each memoised sequence is one ``_sequence``, grown
+in index order under one module lock, so concurrent readers are safe:
+
+- both falling bases, (x)_n and (x)_{n,λ};
+- the unit falling products (1)_{n,λ}, the weights of ``bell_deg`` and
+  the coefficients of the deformed exponential;
+- the rows of the four tables;
+- the t-coefficients (1)_{k+1,λ}/(k+1)! of (e_λ(t) - 1)/t and both
+  Bernoulli sequences;
+- the Eulerian polynomials.
+
+``bell_second_deg`` and ``geometric_deg`` stay uncached: their rows are
+large, and a long-running process would hold every one it was asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from math import comb, factorial
 from dataclasses import dataclass
 
 from .rational import RAT_ONE, Rational
-from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, lambda_falling
+from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly
 from .series import LAMBDA_RING, RATIONAL_RING, XPOLY_RING, Series
 from .ratfunc import RationalFn, substitute_mobius
 
@@ -91,6 +100,8 @@ def rising_product(base: int, m: int) -> int:
 
 _falling = _sequence(lambda n, f: f[-1] * (X - (n - 1)) if n else XP_ONE)
 _falling_deg = _sequence(lambda n, f: f[-1] * (X - (n - 1) * LAM) if n else XP_ONE)
+# the unit falling products (1)_{n,λ} = (1-λ)(1-2λ)...(1-(n-1)λ)
+_unit_falling = _sequence(lambda n, u: u[-1] * LambdaPoly((1, 1 - n)) if n else LP_ONE)
 
 
 def falling_factorial(n: int) -> XPoly:
@@ -181,7 +192,7 @@ def bell_deg(n: int) -> XPoly:
     Counts set partitions with each block weighted by a falling product
     at 1; at λ = 0 it collapses to the classical Bell polynomial.
     """
-    return _weighted_row("S2", n, lambda k: lambda_falling(1, k))
+    return _weighted_row("S2", n, _unit_falling)
 
 
 def bell_poly(n: int) -> XPoly:
@@ -235,7 +246,7 @@ def _reciprocal_step(coeff, one):
 
 
 # t-coefficients (1)_{k+1,λ}/(k+1)! of (deformed exponential - 1)/t
-_e_lambda_quotient = _sequence(lambda k, _: lambda_falling(1, k + 1) / factorial(k + 1))
+_e_lambda_quotient = _sequence(lambda k, _: _unit_falling(k + 1) / factorial(k + 1))
 _bernoulli_deg = _sequence(_reciprocal_step(_e_lambda_quotient, LP_ONE))
 _bernoulli = _sequence(_reciprocal_step(lambda k: Rational(1, factorial(k + 1)), RAT_ONE))
 
@@ -301,7 +312,7 @@ def e_lambda_series(order: int, var: str = "t") -> Series:
     return Series(
         var,
         order,
-        [lambda_falling(1, n) / factorial(n) for n in range(order + 1)],
+        [_unit_falling(n) / factorial(n) for n in range(order + 1)],
         LAMBDA_RING,
     )
 
@@ -354,5 +365,5 @@ def bernoulli_deg_gf(order: int) -> Series:
 
     Built as the reciprocal of (deformed exponential - 1)/t.
     """
-    coeffs = [lambda_falling(1, m + 1) / factorial(m + 1) for m in range(order + 1)]
+    coeffs = [_e_lambda_quotient(m) for m in range(order + 1)]
     return Series("t", order, coeffs, LAMBDA_RING).reciprocal()

@@ -20,11 +20,11 @@ weight e^{-y} on (0, ∞) by sending y^k to k!.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 from typing import Sequence, Union
 
 from .rational import Rational
-from .poly import XP_ONE, LambdaPoly, XPoly, _Exact
+from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact
 from .series import LAMBDA_RING, NonInvertibleError, Series
 
 __all__ = [
@@ -68,6 +68,9 @@ class RationalFn(_Exact):
             return NotImplemented
         return self.num * o.den == o.num * self.den
 
+    def __bool__(self):
+        return bool(self.num)
+
     def __hash__(self):
         raise TypeError("RationalFn is unhashable (equality is by cross-multiplication)")
 
@@ -102,13 +105,13 @@ class RationalFn(_Exact):
     def substituted(self, shift) -> "RationalFn":
         """Apply x -> x/(1 + shift*x) to the whole rational function."""
         dn, dd = self.num.degree, self.den.degree
-        base = XP_ONE + XPoly.monomial(shift, 1)
-        top = substitute_mobius(self.num, shift).num if self.num else XPoly()
-        bot = substitute_mobius(self.den, shift).num
-        # num/B^dn over den/B^dd; clear to a polynomial quotient
+        s = LambdaPoly.coerce(shift)
+        top = substitute_mobius(self.num, s).num if self.num else XPoly()
+        bot = substitute_mobius(self.den, s).num
+        # num/B^dn over den/B^dd with B = 1 + s*x; clear to a polynomial quotient
         if dn >= dd:
-            return RationalFn(top, bot * base ** (dn - dd))
-        return RationalFn(top * base ** (dd - dn), bot)
+            return RationalFn(top, bot * _binomial_power(s, dn - dd))
+        return RationalFn(top * _binomial_power(s, dd - dn), bot)
 
     def text(self, lam_sym: str = "λ", x_sym: str = "x", latex: bool = False) -> str:
         num = self.num.text(lam_sym, x_sym, latex)
@@ -123,30 +126,42 @@ class RationalFn(_Exact):
 RationalFn._ONE = RationalFn(XP_ONE)
 
 
+def _binomial_power(s: LambdaPoly, d: int) -> XPoly:
+    # (1 + s*x)^d as sum_j C(d, j) s^j x^j
+    coeffs, pw = [], LP_ONE
+    for j in range(d + 1):
+        coeffs.append(comb(d, j) * pw)
+        pw = pw * s
+    return XPoly(coeffs)
+
+
 def substitute_mobius(p: XPoly, shift) -> RationalFn:
     """Substitute x -> x/(1 + shift*x) into a polynomial and clear denominators.
 
     shift may be a rational or a LambdaPoly; the denominator of the
-    result is (1 + shift*x)^deg(p).  With shift = λ this sends the
-    degenerate Bell polynomial to its second-kind sibling; with
+    result is (1 + shift*x)^d with d = deg(p).  With shift = λ this sends
+    the degenerate Bell polynomial to its second-kind sibling; with
     shift = -λ it undoes that; with shift = -1 it is the x/(1-x)
     substitution that turns geometric polynomials into Eulerian ones.
+
+    Clearing sends c_k x^k to c_k x^k (1 + s*x)^(d-k), s the shift, so
+    coefficient j of the numerator is the binomial sum
+    sum_{k<=j} C(d-k, j-k) s^(j-k) c_k.  That is coefficient d-j of
+    r(t + s), where r(t) = sum_k c_k t^(d-k) is p reversed, so the sums
+    are read off a Taylor shift of r by s: d Horner passes, each step one
+    product with s and one sum.  The denominator is sum_j C(d, j) s^j x^j.
     """
     p = XPoly.coerce(p)
-    base = XP_ONE + XPoly.monomial(shift, 1)
+    s = LambdaPoly.coerce(shift)
     d = p.degree
     if d < 0:
         return RationalFn(XPoly(), XP_ONE)
-    num = XPoly()
-    pw = XP_ONE  # base^(d-k), built downward
-    # iterate k from d down to 0 so the base power grows as the x power shrinks
-    for k in range(d, -1, -1):
-        c = p.coeff(k)
-        if c:
-            num = num + XPoly.monomial(c, k) * pw
-        if k:
-            pw = pw * base
-    return RationalFn(num, base**d)
+    r = list(reversed(p.coeffs))
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            if r[j + 1]:
+                r[j] = r[j] + s * r[j + 1]
+    return RationalFn(XPoly(reversed(r)), _binomial_power(s, d))
 
 
 def gamma_moment(y_coeffs: Sequence[Union[XPoly, LambdaPoly]]) -> XPoly:

@@ -168,7 +168,12 @@ class Series:
             n = min(self.order, other.order)
             out = tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
             return Series._raw(self.var, n, out, self.ring)
-        return self + (-other if not is_scalar(other) else -as_rational(other))
+        try:
+            c = self.ring.coerce(other)
+        except TypeError:
+            return NotImplemented
+        out = (self.coeffs[0] - c,) + self.coeffs[1:]
+        return Series._raw(self.var, self.order, out, self.ring)
 
     def __rsub__(self, other):
         return (-self) + other

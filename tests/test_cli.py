@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import degenpoly
-from degenpoly.cli import main
+from degenpoly.cli import _build_parser, main
 from degenpoly.poly import LAM, X, XP_ONE
 from degenpoly.ratfunc import RationalFn
 from degenpoly.render import value_from_json
@@ -137,6 +137,31 @@ def test_bad_rational_argument(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "expected a rational" in err
+
+
+def test_calls_share_one_parser(capsys):
+    _build_parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "eval", "--family", "stirling2", "--n", "4", "--k", "2")
+        assert code == 0 and out.strip() == "7"
+    info = _build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 1
+
+
+def test_no_state_leaks_between_calls(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--family", "bell_deg", "--n", "2", "--lambda=1/2", "--x=2")
+    assert code == 0 and out.strip() == "4"
+    code, out, _ = run_cli(capsys, "eval", "--family", "bell_deg", "--n", "2")
+    assert code == 0 and out.strip() == "x + (1 - λ)x^2"
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--family", "bell", "--n", "one"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "eval", "--family", "bell", "--n", "3")
+    assert code == 0 and out.strip() == "x + 3x^2 + x^3"
 
 
 def test_verify_prefix(capsys):

@@ -7,8 +7,18 @@ import threading
 import pytest
 
 from degenpoly.rational import Rational
-from degenpoly.poly import LAM, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, lambda_substitute
+from degenpoly.poly import (
+    LAM,
+    LP_ZERO,
+    X,
+    XP_ONE,
+    LambdaPoly,
+    XPoly,
+    lambda_falling,
+    lambda_substitute,
+)
 from degenpoly.ratfunc import RationalFn
+from degenpoly import families
 from degenpoly.families import (
     STIRLING_KINDS,
     bell_deg,
@@ -169,13 +179,19 @@ def test_triangular_table():
 
 def test_table_cache_is_thread_safe():
     results = []
-    sequences = (falling_factorial_lambda, bernoulli_deg, bernoulli_number, eulerian_poly)
+    sequences = (
+        falling_factorial_lambda,
+        families._unit_falling,
+        bernoulli_deg,
+        bernoulli_number,
+        eulerian_poly,
+    )
 
     def work(seed):
         # every thread pulls every sequence at its own shuffled indices
         order = list(range(26))
         random.Random(seed).shuffle(order)
-        got = {f.__name__: {n: f(n) for n in order} for f in sequences}
+        got = [{n: f(n) for n in order} for f in sequences]
         results.append((triangular_table("S1deg", 25), got))
 
     threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
@@ -202,6 +218,14 @@ def test_falling_factorials():
         falling_factorial(-1)
     with pytest.raises(ValueError):
         falling_factorial_lambda(-2)
+
+
+def test_unit_falling_sequence_matches_the_product():
+    # the memoised (1)_{k,λ} against the product definition, term by term
+    for k in range(61):
+        assert families._unit_falling(k) == lambda_falling(1, k)
+    with pytest.raises(ValueError):
+        families._unit_falling(-1)
 
 
 def test_rising_product():

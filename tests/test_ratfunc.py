@@ -12,6 +12,28 @@ from degenpoly.families import bell_deg, bell_second_deg, bell_partial_deg, geom
 
 rationals = st.builds(Rational, st.integers(-6, 6), st.integers(1, 6))
 xpolys = st.builds(XPoly, st.lists(rationals, max_size=4))
+lambdapolys = st.builds(LambdaPoly, st.lists(rationals, max_size=3))
+# up to degree 12 in x, with coefficients up to degree 2 in λ
+bivariate = st.builds(XPoly, st.lists(lambdapolys, max_size=13))
+SHIFTS = [LAM, -LAM, -1, 0, Rational(1, 2), 2 - 3 * LAM]
+
+
+def mobius_by_loop(p, shift):
+    # reference: sum of c_k x^k (1 + shift*x)^(d-k), with the powers of
+    # 1 + shift*x built by repeated multiplication, over (1 + shift*x)^d
+    base = XP_ONE + XPoly.monomial(shift, 1)
+    d = p.degree
+    if d < 0:
+        return RationalFn(XPoly(), XP_ONE)
+    num = XPoly()
+    pw = XP_ONE
+    for k in range(d, -1, -1):
+        c = p.coeff(k)
+        if c:
+            num = num + XPoly.monomial(c, k) * pw
+        if k:
+            pw = pw * base
+    return RationalFn(num, base**d)
 
 
 def test_denominator_must_be_unit():
@@ -76,6 +98,32 @@ def test_substitute_mobius_edge_cases():
     assert substitute_mobius(XPoly.const(7), LAM) == 7
     lin = substitute_mobius(X, Rational(1, 2))
     assert lin == RationalFn(X, XP_ONE + XPoly.monomial(Rational(1, 2), 1))
+
+
+@given(bivariate, st.sampled_from(SHIFTS))
+@settings(max_examples=60, deadline=None)
+def test_substitute_mobius_matches_the_multiply_loop(p, shift):
+    got, want = substitute_mobius(p, shift), mobius_by_loop(p, shift)
+    # field by field, not by cross-multiplication
+    assert got.num.coeffs == want.num.coeffs
+    assert got.den.coeffs == want.den.coeffs
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_substitute_mobius_matches_the_multiply_loop_on_families(shift):
+    for p in (XPoly(), XPoly.const(7), bell_deg(12), geometric_deg(12)):
+        got, want = substitute_mobius(p, shift), mobius_by_loop(p, shift)
+        assert got.num.coeffs == want.num.coeffs
+        assert got.den.coeffs == want.den.coeffs
+
+
+def test_truth_value_is_that_of_the_numerator():
+    assert not RationalFn(XPoly())
+    assert not RationalFn(XPoly(), XP_ONE + X)
+    assert not substitute_mobius(XPoly(), LAM)
+    assert RationalFn(XPoly.const(3))
+    assert RationalFn(X, XP_ONE + LAM * X)
+    assert substitute_mobius(bell_deg(3), LAM)
 
 
 @given(xpolys, rationals)

@@ -70,6 +70,21 @@ def test_scaled_refuses_a_factor_outside_the_ring():
         object() * s
 
 
+def test_subtraction_coerces_through_the_ring_first():
+    s = Series("t", 2, [1, 2], LAMBDA_RING)
+    assert (s - 2).coeffs == (LambdaPoly.const(-1), LambdaPoly.const(2), LambdaPoly())
+    assert (s - LAM).coeffs == (1 - LAM, LambdaPoly.const(2), LambdaPoly())
+    assert (2 - s).coeffs == (LambdaPoly.const(1), LambdaPoly.const(-2), LambdaPoly())
+    assert s - s == Series("t", 2, [], LAMBDA_RING)
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        s - object()
+    # a λ-polynomial does not embed into the rational ring
+    r = Series("t", 2, [1], RATIONAL_RING)
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        r - LAM
+    assert (r - Rational(1, 2)).coeffs == (Rational(1, 2), 0, 0)
+
+
 def test_geometric_reciprocal():
     one_minus_t = Series("t", 8, [1, -1], RATIONAL_RING)
     assert one_minus_t.reciprocal().coeffs == (1,) * 9
