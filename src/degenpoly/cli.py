@@ -14,7 +14,6 @@ import sys
 
 from .rational import as_rational, is_scalar
 from .poly import LambdaPoly, XPoly
-from .series import NonInvertibleError
 from .ratfunc import PoleError, RationalFn
 from .render import value_to_json
 from .identities import MAX_BOUND, run_all, verdicts_to_json
@@ -64,12 +63,6 @@ def _rat_or_sym(text: str):
         raise argparse.ArgumentTypeError(f"expected a rational p/q or 'sym', got {text!r}")
 
 
-def _family_value(family: str, n: int, r):
-    if family == "geom_r":
-        return fam.geometric_r(n, r)
-    return _SEQUENCE_FAMILIES[family](n)
-
-
 def _specialise(value, lam, x):
     """Substitute the requested rational values into a family member."""
     if isinstance(value, LambdaPoly):
@@ -81,15 +74,31 @@ def _specialise(value, lam, x):
             out = value.eval_x(x)
             return out.constant_value() if lam is not None else out
         return value
-    if isinstance(value, RationalFn):
-        if lam is not None and x is not None:
-            return value.eval(x, lam)
-        if lam is not None:
-            return RationalFn(value.num.eval_lambda(lam), value.den.eval_lambda(lam))
-        if x is not None:
-            return _Ratio(value.num.eval_x(x), value.den.eval_x(x))
-        return value
-    raise TypeError(f"cannot specialise {value!r}")
+    # every other family member is a RationalFn
+    if lam is not None and x is not None:
+        return value.eval(x, lam)
+    if lam is not None:
+        return RationalFn(value.num.eval_lambda(lam), value.den.eval_lambda(lam))
+    if x is not None:
+        return _Ratio(value.num.eval_x(x), value.den.eval_x(x))
+    return value
+
+
+def _member(args, n: int, k: int | None = None):
+    """Row n (column k of a triangle) of args.family, specialised to args.lam and args.x."""
+    family = args.family
+    if family in _TRIANGLE_FAMILIES:
+        if k is None:
+            raise ValueError(f"eval of {family} requires --k")
+        v = fam.stirling(_TRIANGLE_FAMILIES[family], n, k)
+    elif family == "geom_r":
+        v = fam.geometric_r(n, args.r)
+    elif family in _SEQUENCE_FAMILIES:
+        v = _SEQUENCE_FAMILIES[family](n)
+    else:
+        known = ", ".join(sorted(_SEQUENCE_FAMILIES) + sorted(_TRIANGLE_FAMILIES))
+        raise ValueError(f"unknown family {family!r}; known: {known}")
+    return _specialise(v, args.lam, args.x)
 
 
 def _to_text(v, latex=False) -> str:
@@ -135,21 +144,12 @@ def _cmd_table(args) -> int:
         ns = list(range(_row_bound("n_max", n_max) + 1))
 
     rows = []
-    if family in _TRIANGLE_FAMILIES:
-        kind = _TRIANGLE_FAMILIES[family]
-        for n in ns:
-            for k in range(n + 1):
-                v = fam.stirling(kind, n, k)
-                rows.append({"n": n, "k": k, "value": _specialise(v, args.lam, None)})
-        header = ["n", "k", "value"]
-    elif family in _SEQUENCE_FAMILIES:
-        for n in ns:
-            v = _family_value(family, n, args.r)
-            rows.append({"n": n, "value": _specialise(v, args.lam, args.x)})
-        header = ["n", "value"]
-    else:
-        known = ", ".join(sorted(_SEQUENCE_FAMILIES) + sorted(_TRIANGLE_FAMILIES))
-        raise ValueError(f"unknown family {args.family!r}; known: {known}")
+    for n in ns:
+        if family in _TRIANGLE_FAMILIES:
+            rows += [{"n": n, "k": k, "value": _member(args, n, k)} for k in range(n + 1)]
+        else:
+            rows.append({"n": n, "value": _member(args, n)})
+    header = list(rows[0])
 
     if args.format == "json":
         payload = {
@@ -189,22 +189,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    family = args.family
-    if args.n is None:
-        raise ValueError("eval requires --n")
     _row_bound("n", args.n)
-    if family in _TRIANGLE_FAMILIES:
-        if args.k is None:
-            raise ValueError(f"eval of {family} requires --k")
-        v = fam.stirling(_TRIANGLE_FAMILIES[family], args.n, args.k)
-        out = _specialise(v, args.lam, None)
-    elif family in _SEQUENCE_FAMILIES:
-        v = _family_value(family, args.n, args.r)
-        out = _specialise(v, args.lam, args.x)
-    else:
-        known = ", ".join(sorted(_SEQUENCE_FAMILIES) + sorted(_TRIANGLE_FAMILIES))
-        raise ValueError(f"unknown family {args.family!r}; known: {known}")
-    _write(_to_text(out), args.output)
+    _write(_to_text(_member(args, args.n, args.k)), args.output)
     return 0
 
 
@@ -292,14 +278,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PoleError as exc:
-        print(f"error: pole: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NonInvertibleError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # NonInvertibleError and PoleError are ZeroDivisionErrors
+        pole = "pole: " if isinstance(exc, PoleError) else ""
+        print(f"error: {pole}{exc}", file=sys.stderr)
         return 2
 
 

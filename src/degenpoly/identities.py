@@ -144,6 +144,27 @@ def _f_eval(coeffs, k) -> Rational:
     return acc
 
 
+def _s2_transform(g: Series, top: int):
+    # the series transformation of g: maps the coefficients fc of
+    # f = sum_n fc[n] x^n to sum_n fc[n] sum_k S2(n, k) x^k g^(k), k <= top
+    ders = [g]
+    for _ in range(top):
+        ders.append(ders[-1].derivative())
+
+    def transform(fc) -> Series:
+        rhs = Series(g.var, g.order, [], g.ring)
+        for n, fn in enumerate(fc):
+            if not fn:
+                continue
+            for k in range(min(n, top) + 1):
+                c = fam.stirling("S2", n, k)
+                if c:
+                    rhs = rhs + ders[k].shift_up(k).scaled(fn * c)
+        return rhs
+
+    return transform
+
+
 def _poly_battery(d_max: int):
     # monomials of each degree, then one polynomial mixing all of them
     fs = [((RAT_ZERO,) * d + (RAT_ONE,), f"x^{d}" if d else "1") for d in range(d_max + 1)]
@@ -171,7 +192,7 @@ def check_T1(n_max=16, perturbed=False):
             return {"n": n}, lhs, rhs
 
 
-@_check("L2", fault="doubles the S2(1, 1) weight")
+@_check("L2", fault="puts weight 2 on x^1, doubling the S2(1, 1) term")
 def check_L2(n_max=16, g: Series | None = None, perturbed=False):
     """n-fold x d/dx on a series equals the S2-weighted sum of x^k times
     its k-th derivative"""
@@ -179,19 +200,12 @@ def check_L2(n_max=16, g: Series | None = None, perturbed=False):
         g = fam.e_lambda_series(n_max + 5, "x")
     if g.order < n_max + 5:
         raise ValueError(f"base series order {g.order} < n_max + 5 = {n_max + 5}")
-    ders = [g]
-    for _ in range(n_max):
-        ders.append(ders[-1].derivative())
+    transform = _s2_transform(g, n_max)
     for n in range(n_max + 1):
         lhs = g.diag(lambda k: k**n)
-        rhs = Series(g.var, g.order, [], g.ring)
-        for k in range(n + 1):
-            c = fam.stirling("S2", n, k)
-            if perturbed and (n, k) == (1, 1):
-                c = 2 * c
-            if c:
-                rhs = rhs + ders[k].shift_up(k).scaled(c)
-        bad = first_mismatch(lhs, rhs)
+        # f = x^n, with weight 2 under the control at n = 1
+        fc = (0,) * n + (2 if perturbed and n == 1 else 1,)
+        bad = first_mismatch(lhs, transform(fc))
         if bad is not None:
             return {"n": n, "coeff": bad[0]}, bad[1], bad[2]
 
@@ -209,21 +223,11 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
     # x^k g^(k) vanishes below x^(order+1) once k > order
     top = min(d_max, order)
     for g_label, g in bases:
-        ders = [g]
-        for _ in range(top):
-            ders.append(ders[-1].derivative())
+        transform = _s2_transform(g, top)
         for fc, f_label in battery:
             shift = 1 if perturbed else 0
             lhs = g.diag(lambda k: _f_eval(fc, k + shift))
-            rhs = Series(g.var, g.order, [], g.ring)
-            for n, fn in enumerate(fc):
-                if not fn:
-                    continue
-                for k in range(min(n, top) + 1):
-                    c = fam.stirling("S2", n, k)
-                    if c:
-                        rhs = rhs + ders[k].shift_up(k).scaled(fn * c)
-            bad = first_mismatch(lhs, rhs)
+            bad = first_mismatch(lhs, transform(fc))
             if bad is not None:
                 return {"g": g_label, "f": f_label, "coeff": bad[0]}, bad[1], bad[2]
 
@@ -583,8 +587,9 @@ def run_check(check_id: str, overrides: dict | None = None, perturbed=False) -> 
 def run_all(prefix: str | None = None, overrides: dict | None = None, negative_control=False):
     """Run every check (or those whose id starts with prefix), in id order.
 
-    negative_control may be True (inject every registered fault) or a
-    single check id (inject only that one, leaving the rest honest).
+    negative_control may be True (inject every registered fault) or the
+    id of one selected check (inject only that one, leaving the rest
+    honest).
     Every override is checked against every selected check's bounds
     before any check runs.
     """
@@ -595,6 +600,8 @@ def run_all(prefix: str | None = None, overrides: dict | None = None, negative_c
     if isinstance(negative_control, str) and negative_control not in _BY_ID:
         known = ", ".join(sorted(_BY_ID))
         raise ValueError(f"unknown check {negative_control!r}; known: {known}")
+    if isinstance(negative_control, str) and _BY_ID[negative_control] not in entries:
+        raise ValueError(f"negative control {negative_control!r} is not a selected check")
     for c in entries:
         _bounds(c, overrides)
     return [

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 from .rational import Rational
 from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact
-from .series import LAMBDA_RING, NonInvertibleError, Series
+from .series import LAMBDA_RING, Series, _unit_value
 
 __all__ = [
     "RationalFn",
@@ -45,15 +45,9 @@ class RationalFn(_Exact):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=XP_ONE):
-        num = XPoly.coerce(num)
-        den = XPoly.coerce(den)
-        c = den.coeff(0)
-        if not (c.is_constant and c):
-            raise NonInvertibleError(
-                f"denominator constant term {c} is not an invertible rational"
-            )
-        self.num = num
-        self.den = den
+        self.num = XPoly.coerce(num)
+        self.den = XPoly.coerce(den)
+        _unit_value(self.den.coeff(0))  # NonInvertibleError unless a unit
 
     @classmethod
     def _coerce(cls, other):

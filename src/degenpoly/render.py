@@ -3,8 +3,11 @@
 Rationals travel as "p/q" strings (plain "p" when the denominator is
 1), λ-polynomials as arrays of those strings in increasing degree,
 x-polynomials as arrays of such arrays, and rational functions as
-{"num": ..., "den": ...}.  The shapes are disjoint, so parsing is
-driven purely by structure and every value round-trips exactly.
+{"num": ..., "den": ...}.  Parsing is driven purely by structure, and
+every value round-trips to an equal value of the same type, with one
+exception: the zero λ-polynomial and the zero x-polynomial share the
+empty array, which parses back as the zero LambdaPoly (equal by value
+to the zero XPoly, but not of its type).
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ def value_to_json(v):
         return [[str(q) for q in c.coeffs] for c in v.coeffs]
     if isinstance(v, RationalFn):
         return {"num": value_to_json(v.num), "den": value_to_json(v.den)}
-    if isinstance(v, str):
-        return v
     raise TypeError(f"cannot serialise {v!r}")
 
 
@@ -36,8 +37,6 @@ def value_from_json(j):
     if isinstance(j, dict):
         return RationalFn(value_from_json(j["num"]), value_from_json(j["den"]))
     if isinstance(j, list):
-        if not j:
-            return LambdaPoly()
         if all(isinstance(e, str) for e in j):
             return LambdaPoly(as_rational(e) for e in j)
         return XPoly(value_from_json(e) for e in j)

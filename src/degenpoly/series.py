@@ -12,13 +12,17 @@ so the result order is min(order_a, order_b).  Binary operations also
 insist on an identical variable tag and an identical coefficient ring;
 use promote() to embed a series into a larger ring first.  truncate()
 only shortens.
+
+A unit is a nonzero λ-free rational constant, in whichever ring it is
+held.  reciprocal() needs a unit constant term, and ratfunc asks the
+same of the constant term of a denominator.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .rational import RAT_ONE, RAT_ZERO, as_rational, is_scalar
+from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
 from .poly import LP_ONE, LP_ZERO, XP_ONE, XP_ZERO, LambdaPoly, XPoly, lambda_falling
 
 __all__ = [
@@ -37,18 +41,30 @@ class NonInvertibleError(ZeroDivisionError):
     """Division by a series or coefficient that is not a unit."""
 
 
+def _unit_value(v) -> Rational:
+    # the scalar, LambdaPoly or XPoly v as a rational when it is a unit (the
+    # rule in the module docstring), else NonInvertibleError
+    p = XPoly.coerce(v)
+    if p.degree != 0 or p.lambda_degree != 0:
+        raise NonInvertibleError(f"constant term {v} is not a unit")
+    return p.coeff(0).coeff(0)
+
+
 class CoefficientRing:
     """Descriptor for a coefficient ring: its zero, one, coercion, inversion."""
 
-    __slots__ = ("name", "rank", "zero", "one", "coerce", "invert")
+    __slots__ = ("name", "rank", "zero", "one", "coerce")
 
-    def __init__(self, name, rank, zero, one, coerce, invert):
+    def __init__(self, name, rank, zero, one, coerce):
         self.name = name
         self.rank = rank
         self.zero = zero
         self.one = one
         self.coerce = coerce
-        self.invert = invert
+
+    def invert(self, v):
+        """1/v in this ring; NonInvertibleError unless v is a unit."""
+        return self.coerce(RAT_ONE / _unit_value(v))
 
     def __repr__(self):
         return f"<ring {self.name}>"
@@ -62,28 +78,9 @@ def _coerce_rational(v):
     raise TypeError(f"not a rational coefficient: {v!r}")
 
 
-def _invert_rational(v):
-    if not v:
-        raise NonInvertibleError("constant term 0 is not invertible")
-    return RAT_ONE / v
-
-
-def _invert_lambda(v):
-    if not (v.is_constant and v):
-        raise NonInvertibleError(f"constant term {v} is not a unit")
-    return LambdaPoly.const(RAT_ONE / v.constant_value())
-
-
-def _invert_xpoly(v):
-    c = v.coeff(0)
-    if v.degree > 0 or not (c.is_constant and c):
-        raise NonInvertibleError(f"constant term {v} is not a unit")
-    return XPoly.const(RAT_ONE / c.constant_value())
-
-
-RATIONAL_RING = CoefficientRing("rational", 0, RAT_ZERO, RAT_ONE, _coerce_rational, _invert_rational)
-LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, LambdaPoly.coerce, _invert_lambda)
-XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, XPoly.coerce, _invert_xpoly)
+RATIONAL_RING = CoefficientRing("rational", 0, RAT_ZERO, RAT_ONE, _coerce_rational)
+LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, LambdaPoly.coerce)
+XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, XPoly.coerce)
 
 
 class Series:
@@ -163,20 +160,16 @@ class Series:
         return Series._raw(self.var, self.order, tuple(-c for c in self.coeffs), self.ring)
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            self._check_mate(other)
-            n = min(self.order, other.order)
-            out = tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-            return Series._raw(self.var, n, out, self.ring)
-        try:
-            c = self.ring.coerce(other)
-        except TypeError:
-            return NotImplemented
-        out = (self.coeffs[0] - c,) + self.coeffs[1:]
-        return Series._raw(self.var, self.order, out, self.ring)
+        if not isinstance(other, Series):
+            try:
+                other = self.ring.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else -diff
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -241,8 +234,7 @@ class Series:
         out = [ring.zero] * (n + 1)
         out[0] = ring.coerce(self.coeffs[0])
         pw = Series.one(inner.var, n, ring)
-        top = min(n, len(self.coeffs) - 1)
-        for k in range(1, top + 1):
+        for k in range(1, n + 1):
             pw = pw * inner_t
             ck = self.coeffs[k]
             if not ck:
@@ -349,7 +341,6 @@ def first_mismatch(a: Series, b: Series):
     n = min(a.order, b.order)
     for k in range(n + 1):
         x, y = a.coeffs[k], b.coeffs[k]
-        same = (x == y) if a.ring.rank >= b.ring.rank else (y == x)
-        if not same:
+        if x != y:
             return k, x, y
     return None

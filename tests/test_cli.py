@@ -11,10 +11,10 @@ import pytest
 
 import degenpoly
 from degenpoly.cli import _build_parser, main
-from degenpoly.poly import LAM, X, XP_ONE
+from degenpoly.poly import LAM, X, XP_ONE, LambdaPoly, XPoly
 from degenpoly.ratfunc import RationalFn
-from degenpoly.render import value_from_json
-from degenpoly.families import bell_deg, bernoulli_deg, stirling
+from degenpoly.render import value_from_json, value_to_json
+from degenpoly.families import bell_deg, bell_second_deg, bernoulli_deg, stirling
 
 
 def child_env():
@@ -99,6 +99,63 @@ def test_table_rational_family_symbolic(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "bel_second", "--n", "2", "--x", "1")
     assert code == 0
     assert "(2) / (1 + 2λ + λ^2)" in out
+
+
+def test_symbolic_values_spelled_out(capsys):
+    code, out, _ = run_cli(
+        capsys, "table", "--family", "bell_deg", "--n", "2", "--lambda=sym", "--x=sym"
+    )
+    assert code == 0 and out.splitlines() == ["n,value", "2,x + (1 - λ)x^2"]
+    code, out, _ = run_cli(
+        capsys, "eval", "--family", "stirling2_deg", "--n", "3", "--k", "1", "--lambda=sym"
+    )
+    assert code == 0 and out == "1 - 3λ + 2λ^2\n"
+
+
+def test_table_rational_family_lambda_only(capsys):
+    # substituting λ alone leaves a rational function of x
+    argv = ("table", "--family", "bel_second", "--n", "2", "--lambda", "1/2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines() == ["n,value", "2,(x + x^2) / (1 + x + 1/4x^2)"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "latex")
+    assert code == 0
+    assert "2 & \\frac{x + x^{2}}{1 + x + \\frac{1}{4}x^{2}} \\\\\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    value = json.loads(out)["rows"][0]["value"]
+    assert value == {"num": [[], ["1"], ["1"]], "den": [["1"], ["1"], ["1/4"]]}
+    assert value_from_json(value) == RationalFn(X + X * X, (1 + X / 2) ** 2)
+
+
+def test_table_rational_family_x_only_in_every_format(capsys):
+    argv = ("table", "--family", "bel_second", "--n", "2", "--x", "1")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.splitlines() == ["n,value", "2,(2) / (1 + 2λ + λ^2)"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "latex")
+    assert code == 0
+    assert "2 & \\frac{2}{1 + 2\\lambda + \\lambda^{2}} \\\\\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["x"] == "1" and payload["lambda"] == "sym"
+    assert payload["rows"] == [{"n": 2, "value": {"num": ["2"], "den": ["1", "2", "1"]}}]
+
+
+def test_table_unknown_family(capsys):
+    code, out, err = run_cli(capsys, "table", "--family", "nope", "--n", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown family 'nope'; known: bel_second, bell,")
+
+
+def test_json_shapes_of_a_rational_function():
+    r = bell_second_deg(2)
+    j = value_to_json(r)
+    assert j == {"num": [[], ["1"], ["1"]], "den": [["1"], ["0", "2"], ["0", "0", "1"]]}
+    back = value_from_json(j)
+    assert isinstance(back, RationalFn) and back == r
+    # zero has one shape for both polynomial types; it parses back as a λ-polynomial
+    assert value_to_json(XPoly()) == value_to_json(LambdaPoly()) == []
+    assert type(value_from_json([])) is LambdaPoly and value_from_json([]) == XPoly()
 
 
 def test_eval_spots(capsys):
@@ -190,6 +247,12 @@ def test_verify_negative_control_targeted(capsys):
     assert sum(1 for ln in lines if ln.startswith("FAIL")) == 1
     assert any(ln.startswith("FAIL E57") for ln in lines)
     assert lines[-1] == "17 passed, 1 failed"
+
+
+def test_verify_negative_control_outside_the_selection(capsys):
+    code, out, err = run_cli(capsys, "verify", "T8", "--negative-control=E04")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'E04'" in err
 
 
 def test_verify_json_stdout_keeps_human_lines_on_stderr(capsys):

@@ -95,6 +95,11 @@ def test_run_all_targeted_control():
         run_all(negative_control="T99")
 
 
+def test_run_all_refuses_a_control_outside_the_selection():
+    with pytest.raises(ValueError, match="'E04'"):
+        run_all("T8", negative_control="E04")
+
+
 def test_run_all_full_control_flips_everything():
     small = {"n_max": 8, "m_max": 4, "k_max": 8, "d_max": 3, "r_max": 2, "order": 8}
     verdicts = run_all(overrides=small, negative_control=True)

@@ -183,6 +183,19 @@ def test_hash_consistent_with_scalar_equality():
     assert XPoly.const(3) == LambdaPoly.const(3) == 3
 
 
+def test_xpoly_hash_agrees_with_equality():
+    assert hash(XPoly.const(Rational(1, 2))) == hash(Rational(1, 2))
+    assert hash(XPoly()) == hash(0)
+    assert XPoly([1, LAM]) == (1 + LAM * X) and hash(XPoly([1, LAM])) == hash(1 + LAM * X)
+    assert len({XPoly([1, LAM]), 1 + LAM * X, XPoly.const(2), LambdaPoly.const(2), 2}) == 2
+
+
+def test_rendering_a_constant_term_of_several_lambda_terms():
+    p = XPoly([1 + LAM, 1])
+    assert str(p) == "1 + λ + x"
+    assert p.latex() == "1 + \\lambda + x"
+
+
 def test_pow_guard():
     with pytest.raises(ValueError):
         X ** (-1)

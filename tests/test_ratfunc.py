@@ -43,6 +43,14 @@ def test_denominator_must_be_unit():
         RationalFn(X, LAM * X + LAM)
 
 
+def test_a_denominator_constant_term_must_be_lambda_free():
+    with pytest.raises(NonInvertibleError):
+        RationalFn(1, LAM + X)
+    assert RationalFn(1, 2 + X).expand(2).coeffs == (
+        Rational(1, 2), Rational(-1, 4), Rational(1, 8)
+    )
+
+
 def test_cross_multiplied_equality():
     half = RationalFn(X, 2 * XP_ONE)
     also_half = RationalFn(3 * X, 6 * XP_ONE)

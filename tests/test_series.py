@@ -85,6 +85,19 @@ def test_subtraction_coerces_through_the_ring_first():
     assert (r - Rational(1, 2)).coeffs == (Rational(1, 2), 0, 0)
 
 
+def test_subtraction_is_negation_then_addition():
+    s = Series("t", 2, [1, 2], LAMBDA_RING)
+    with pytest.raises(TypeError, match="for -: 'object' and 'Series'"):
+        object() - s
+    assert (LAM - s).coeffs == (LAM - 1, LambdaPoly.const(-2), LambdaPoly())
+    xs = Series("x", 2, [X, 1], XPOLY_RING)
+    assert (X - xs).coeffs == (XPoly(), XPoly.const(-1), XPoly())
+    a = Series("t", 6, [1] * 7, RATIONAL_RING)
+    b = Series("t", 3, [0, 1, 2, 3], RATIONAL_RING)
+    assert a - b == Series("t", 3, [1, 0, -1, -2], RATIONAL_RING)
+    assert b - a == -(a - b)
+
+
 def test_geometric_reciprocal():
     one_minus_t = Series("t", 8, [1, -1], RATIONAL_RING)
     assert one_minus_t.reciprocal().coeffs == (1,) * 9
@@ -149,6 +162,25 @@ def test_reciprocal_needs_unit():
     lam_const = Series("t", 3, [LambdaPoly([0, 1])], LAMBDA_RING)
     with pytest.raises(NonInvertibleError):
         lam_const.reciprocal()  # λ is not a unit here
+
+
+@pytest.mark.parametrize(
+    "ring, head",
+    [
+        (RATIONAL_RING, 0),
+        (LAMBDA_RING, 0),
+        (LAMBDA_RING, LAM),
+        (XPOLY_RING, 0),
+        (XPOLY_RING, LAM),
+        (XPOLY_RING, X),
+        (XPOLY_RING, 1 + X),
+    ],
+)
+def test_a_unit_is_a_nonzero_lambda_free_rational(ring, head):
+    with pytest.raises(NonInvertibleError):
+        Series("t", 3, [head, 1], ring).reciprocal()
+    unit = Series("t", 3, [Rational(-2, 3), 1], ring).reciprocal()
+    assert unit.coeff(0) == Rational(-3, 2) and unit.ring is ring
 
 
 def test_diag_weight_promotes():
