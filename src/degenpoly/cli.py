@@ -107,6 +107,8 @@ def _to_text(v, latex=False) -> str:
     if isinstance(v, _Ratio):
         if latex:
             return f"\\frac{{{v.num.latex()}}}{{{v.den.latex()}}}"
+        if v.den == 1:
+            return str(v.num)
         return f"({v.num}) / ({v.den})"
     return v.latex() if latex else v.text()
 

@@ -152,15 +152,14 @@ def _s2_transform(g: Series, top: int):
         ders.append(ders[-1].derivative())
 
     def transform(fc) -> Series:
-        rhs = Series(g.var, g.order, [], g.ring)
-        for n, fn in enumerate(fc):
-            if not fn:
-                continue
-            for k in range(min(n, top) + 1):
-                c = fam.stirling("S2", n, k)
-                if c:
-                    rhs = rhs + ders[k].shift_up(k).scaled(fn * c)
-        return rhs
+        ring = g.ring
+        # w_k = sum_n fc[n] S2(n, k), once per k that fc and top reach
+        w = [ring.coerce(sum(fn * fam.stirling("S2", n, k) for n, fn in enumerate(fc[k:], k) if fn))
+             for k in range(min(len(fc) - 1, top) + 1)]
+        # coefficient j of sum_k w_k x^k g^(k) is one ring dot over k <= j
+        out = [ring._dot((w[k], ders[k].coeffs[j - k]) for k in range(min(j, len(w) - 1) + 1))
+               for j in range(g.order + 1)]
+        return Series(g.var, g.order, out, ring)
 
     return transform
 

@@ -444,6 +444,71 @@ XP_ONE = XPoly._ONE = XPoly._raw((LP_ONE,))
 X = XPoly._raw((LP_ZERO, LP_ONE))
 
 
+# Dot-product kernels: sum a*b over an iterable of (a, b) pairs in one
+# accumulator, normalised once, for each coefficient ring of a series.
+# A pair with a zero factor is skipped.  The rational and λ kernels keep
+# integer numerators over a running common denominator.
+
+
+def _rebase(acc: list, den: int, d: int):
+    # the running-denominator step: acc (integer numerators over den) and
+    # the factor lifting a term over d, both over lcm(den, d)
+    g = gcd(den, d)
+    if g != d:
+        up = d // g
+        acc = [c * up for c in acc]
+    return acc, den // g * d, den // g
+
+
+def _rational_dot(pairs) -> Rational:
+    acc, den = [0], 1
+    for a, b in pairs:
+        if a and b:
+            s, d = 1, a.denominator * b.denominator
+            if d != den:
+                acc, den, s = _rebase(acc, den, d)
+            acc[0] += a.numerator * b.numerator * s
+    return Rational(acc[0], den)
+
+
+def _lambda_dot(pairs) -> LambdaPoly:
+    acc, den = [], 1
+    for a, b in pairs:
+        an, bn = a.num, b.num
+        if not an or not bn:
+            continue
+        s, d = 1, a.den * b.den
+        if d != den:
+            acc, den, s = _rebase(acc, den, d)
+        top = len(an) + len(bn) - 1
+        if len(acc) < top:
+            acc.extend([0] * (top - len(acc)))
+        for i, ai in enumerate(an):
+            if ai:
+                ai *= s
+                for j, bj in enumerate(bn, i):
+                    acc[j] += ai * bj
+    return LambdaPoly._new(acc, den)
+
+
+def _xpoly_dot(pairs) -> XPoly:
+    # the λ-coefficient pairs grouped by power of x, then one λ-dot per power
+    groups: list[list] = []
+    for a, b in pairs:
+        ac, bc = a.coeffs, b.coeffs
+        if not ac or not bc:
+            continue
+        top = len(ac) + len(bc) - 1
+        while len(groups) < top:
+            groups.append([])
+        for i, ai in enumerate(ac):
+            if ai:
+                for j, bj in enumerate(bc, i):
+                    if bj:
+                        groups[j].append((ai, bj))
+    return XPoly._raw(_strip([_lambda_dot(g) for g in groups]))
+
+
 def lambda_falling(base, m: int) -> LambdaPoly:
     """m-factor falling product base * (base - λ) * ... * (base - (m-1)λ).
 

@@ -16,6 +16,12 @@ only shortens.
 A unit is a nonzero λ-free rational constant, in whichever ring it is
 held.  reciprocal() needs a unit constant term, and ratfunc asks the
 same of the constant term of a denominator.
+
+Kernel rule: each coefficient of a product, reciprocal, exp or compose
+is one ring dot, the sum of a*b over its pairs of coefficients built in
+a single accumulator and normalised once (the kernels live in poly,
+next to the types they sum).  compose builds the powers of the inner
+series only up to the outer series' last nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -23,7 +29,18 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
-from .poly import LP_ONE, LP_ZERO, XP_ONE, XP_ZERO, LambdaPoly, XPoly, lambda_falling
+from .poly import (
+    LP_ONE,
+    LP_ZERO,
+    XP_ONE,
+    XP_ZERO,
+    LambdaPoly,
+    XPoly,
+    _lambda_dot,
+    _rational_dot,
+    _xpoly_dot,
+    lambda_falling,
+)
 
 __all__ = [
     "Series",
@@ -51,16 +68,21 @@ def _unit_value(v) -> Rational:
 
 
 class CoefficientRing:
-    """Descriptor for a coefficient ring: its zero, one, coercion, inversion."""
+    """Descriptor for a coefficient ring: its zero, one, coercion, inversion.
 
-    __slots__ = ("name", "rank", "zero", "one", "coerce")
+    The private ``_dot(pairs)`` returns sum a*b over (a, b) pairs of ring
+    elements, summed in one accumulator and normalised once.
+    """
 
-    def __init__(self, name, rank, zero, one, coerce):
+    __slots__ = ("name", "rank", "zero", "one", "coerce", "_dot")
+
+    def __init__(self, name, rank, zero, one, coerce, dot):
         self.name = name
         self.rank = rank
         self.zero = zero
         self.one = one
         self.coerce = coerce
+        self._dot = dot
 
     def invert(self, v):
         """1/v in this ring; NonInvertibleError unless v is a unit."""
@@ -78,9 +100,9 @@ def _coerce_rational(v):
     raise TypeError(f"not a rational coefficient: {v!r}")
 
 
-RATIONAL_RING = CoefficientRing("rational", 0, RAT_ZERO, RAT_ONE, _coerce_rational)
-LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, LambdaPoly.coerce)
-XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, XPoly.coerce)
+RATIONAL_RING = CoefficientRing("rational", 0, RAT_ZERO, RAT_ONE, _coerce_rational, _rational_dot)
+LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, LambdaPoly.coerce, _lambda_dot)
+XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, XPoly.coerce, _xpoly_dot)
 
 
 class Series:
@@ -135,6 +157,8 @@ class Series:
         return Series(self.var, self.order, self.coeffs, ring)
 
     def truncate(self, order: int) -> "Series":
+        if order < 0:
+            raise ValueError("series order must be nonnegative")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
@@ -175,16 +199,9 @@ class Series:
         if isinstance(other, Series):
             self._check_mate(other)
             n = min(self.order, other.order)
-            zero = self.ring.zero
-            out = [zero] * (n + 1)
-            for i, ai in enumerate(self.coeffs[: n + 1]):
-                if not ai:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = other.coeffs[j]
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-            return Series._raw(self.var, n, tuple(out), self.ring)
+            a, b, dot = self.coeffs, other.coeffs, self.ring._dot
+            out = tuple(dot(zip(a[: m + 1], b[m::-1])) for m in range(n + 1))
+            return Series._raw(self.var, n, out, self.ring)
         try:
             return self.scaled(other)
         except TypeError:
@@ -203,17 +220,12 @@ class Series:
     def reciprocal(self) -> "Series":
         """Multiplicative inverse; needs an invertible constant term."""
         inv = self.ring.invert(self.coeffs[0])
-        n_max = self.order
-        out = [self.ring.zero] * (n_max + 1)
-        out[0] = inv
-        a = self.coeffs
-        for n in range(1, n_max + 1):
-            s = self.ring.zero
-            for k in range(1, n + 1):
-                if a[k]:
-                    s = s + a[k] * out[n - k]
-            out[n] = -(inv * s)
-        return Series._raw(self.var, n_max, tuple(out), self.ring)
+        a, dot = self.coeffs, self.ring._dot
+        out = [inv]
+        # a_0 out_n = -sum_{k=1..n} a_k out_{n-k}
+        for n in range(1, self.order + 1):
+            out.append(-(inv * dot(zip(a[1 : n + 1], out[::-1]))))
+        return Series._raw(self.var, self.order, tuple(out), self.ring)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute inner for this series' variable.
@@ -231,19 +243,19 @@ class Series:
         ring = inner.ring
         n = min(self.order, inner.order)
         inner_t = inner.truncate(n)
-        out = [ring.zero] * (n + 1)
-        out[0] = ring.coerce(self.coeffs[0])
+        # powers past the outer series' last nonzero coefficient go unread;
+        # cols[idx] collects the pairs (c_k, [v^idx] inner^k) of one dot
+        top = max((k for k in range(n + 1) if self.coeffs[k]), default=0)
+        cols = [[] for _ in range(n + 1)]
         pw = Series.one(inner.var, n, ring)
-        for k in range(1, n + 1):
+        for k in range(1, top + 1):
             pw = pw * inner_t
             ck = self.coeffs[k]
-            if not ck:
-                continue
-            c = ring.coerce(ck)
-            for idx in range(k, n + 1):
-                p = pw.coeffs[idx]
-                if p:
-                    out[idx] = out[idx] + c * p
+            if ck:
+                c = ring.coerce(ck)
+                for idx in range(k, n + 1):
+                    cols[idx].append((c, pw.coeffs[idx]))
+        out = [ring.coerce(self.coeffs[0])] + [ring._dot(col) for col in cols[1:]]
         return Series._raw(inner.var, n, tuple(out), ring)
 
     def exp(self) -> "Series":
@@ -254,17 +266,12 @@ class Series:
         """
         if self.coeffs[0]:
             raise ValueError("exp needs a zero constant term")
-        n = self.order
         kg = [k * c for k, c in enumerate(self.coeffs)]
-        out = [self.ring.zero] * (n + 1)
-        out[0] = self.ring.one
-        for m in range(1, n + 1):
-            s = self.ring.zero
-            for k in range(1, m + 1):
-                if kg[k]:
-                    s = s + kg[k] * out[m - k]
-            out[m] = s / m
-        return Series._raw(self.var, n, tuple(out), self.ring)
+        dot = self.ring._dot
+        out = [self.ring.one]
+        for m in range(1, self.order + 1):
+            out.append(dot(zip(kg[1 : m + 1], out[::-1])) / m)
+        return Series._raw(self.var, self.order, tuple(out), self.ring)
 
     def derivative(self) -> "Series":
         """Formal derivative; drops the truncation order by one."""

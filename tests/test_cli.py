@@ -141,6 +141,29 @@ def test_table_rational_family_x_only_in_every_format(capsys):
     assert payload["rows"] == [{"n": 2, "value": {"num": ["2"], "den": ["1", "2", "1"]}}]
 
 
+def test_x_only_csv_row_over_one_prints_its_numerator(capsys):
+    # bel_second row 0 is 1/1; plain text drops a denominator of 1, as the
+    # symbolic row does
+    code, out, _ = run_cli(capsys, "table", "--family", "bel_second", "--n", "0", "--x", "1")
+    assert code == 0 and out.splitlines() == ["n,value", "0,1"]
+    code, out, _ = run_cli(capsys, "table", "--family", "bel_second", "--n", "0")
+    assert code == 0 and out.splitlines() == ["n,value", "0,1"]
+
+
+def test_x_only_eval_over_one_prints_its_numerator(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--family", "bel_second", "--n", "0", "--x", "2")
+    assert code == 0 and out == "1\n"
+
+
+def test_x_only_value_over_one_keeps_both_parts_in_latex_and_json(capsys):
+    argv = ("table", "--family", "bel_second", "--n", "0", "--x", "1")
+    code, out, _ = run_cli(capsys, *argv, "--format", "latex")
+    assert code == 0 and "0 & \\frac{1}{1} \\\\\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"n": 0, "value": {"num": ["1"], "den": ["1"]}}]
+
+
 def test_table_unknown_family(capsys):
     code, out, err = run_cli(capsys, "table", "--family", "nope", "--n", "1")
     assert code == 2 and out == ""

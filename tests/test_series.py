@@ -263,3 +263,209 @@ def test_exp_matches_power_sum_reference_in_every_ring(order):
 def test_exp_matches_power_sum_reference_random(tail):
     g = Series("t", len(tail), [0] + tail, RATIONAL_RING)
     assert g.exp() == _exp_by_powers(g)
+
+
+def test_truncate_refuses_a_negative_order():
+    s = Series("t", 3, [1, 2, 3], RATIONAL_RING)
+    with pytest.raises(ValueError, match="series order must be nonnegative"):
+        s.truncate(-1)
+    assert s.truncate(0).coeffs == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the per-term loops that the ring dot kernels replaced, kept as references
+
+
+def _mul_reference(a: Series, b: Series) -> tuple:
+    n = min(a.order, b.order)
+    out = [a.ring.zero] * (n + 1)
+    for i, ai in enumerate(a.coeffs[: n + 1]):
+        if not ai:
+            continue
+        for j in range(n + 1 - i):
+            bj = b.coeffs[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return tuple(out)
+
+
+def _reciprocal_reference(s: Series) -> tuple:
+    inv = s.ring.invert(s.coeffs[0])
+    out = [s.ring.zero] * (s.order + 1)
+    out[0] = inv
+    a = s.coeffs
+    for n in range(1, s.order + 1):
+        acc = s.ring.zero
+        for k in range(1, n + 1):
+            if a[k]:
+                acc = acc + a[k] * out[n - k]
+        out[n] = -(inv * acc)
+    return tuple(out)
+
+
+def _exp_reference(s: Series) -> tuple:
+    kg = [k * c for k, c in enumerate(s.coeffs)]
+    out = [s.ring.zero] * (s.order + 1)
+    out[0] = s.ring.one
+    for m in range(1, s.order + 1):
+        acc = s.ring.zero
+        for k in range(1, m + 1):
+            if kg[k]:
+                acc = acc + kg[k] * out[m - k]
+        out[m] = acc / m
+    return tuple(out)
+
+
+def _compose_reference(outer: Series, inner: Series) -> tuple:
+    # every power of inner up to the order, whatever the outer degree
+    ring = inner.ring
+    n = min(outer.order, inner.order)
+    inner_t = inner.truncate(n)
+    out = [ring.zero] * (n + 1)
+    out[0] = ring.coerce(outer.coeffs[0])
+    pw = Series.one(inner.var, n, ring)
+    for k in range(1, n + 1):
+        pw = pw * inner_t
+        ck = outer.coeffs[k]
+        if not ck:
+            continue
+        c = ring.coerce(ck)
+        for idx in range(k, n + 1):
+            p = pw.coeffs[idx]
+            if p:
+                out[idx] = out[idx] + c * p
+    return tuple(out)
+
+
+def _fields(v):
+    # the stored fields of one coefficient, so equal values must also be
+    # equal representations: num/den of a rational or a λ-polynomial
+    if isinstance(v, XPoly):
+        return ("xpoly", tuple(_fields(c) for c in v.coeffs))
+    if isinstance(v, LambdaPoly):
+        return ("lambda", v.num, v.den)
+    return ("rational", v.numerator, v.denominator)
+
+
+def _same(coeffs, expected):
+    assert [_fields(c) for c in coeffs] == [_fields(c) for c in expected]
+
+
+RINGS = {"rational": RATIONAL_RING, "lambda": LAMBDA_RING, "xpoly": XPOLY_RING}
+ORDERS = st.sampled_from([0, 1, 5, 16])
+# zero often, and denominators other than 1, mixed within one polynomial
+sparse_rationals = st.one_of(st.just(Rational(0)), st.builds(Rational, st.integers(-6, 6),
+                                                            st.sampled_from([1, 1, 2, 3, 4])))
+lambda_polys = st.builds(LambdaPoly, st.lists(sparse_rationals, max_size=3))
+xpolys = st.builds(XPoly, st.lists(lambda_polys, max_size=3))
+ELEMENTS = {"rational": sparse_rationals, "lambda": lambda_polys, "xpoly": xpolys}
+
+
+@st.composite
+def series_in(draw, ring_name, order=None, valuation=None, head=None):
+    n = draw(ORDERS) if order is None else order
+    v = draw(st.integers(0, 2)) if valuation is None else valuation
+    body = draw(st.lists(ELEMENTS[ring_name], min_size=n + 1, max_size=n + 1))
+    cs = [RINGS[ring_name].zero] * min(v, n + 1) + body[v:]
+    if head is not None:
+        cs[0] = head
+    return Series("t", n, cs, RINGS[ring_name])
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_dot_of_nothing_or_of_zeros_is_the_ring_zero(name):
+    ring = RINGS[name]
+    z = ring.zero
+    for pairs in ((), [(z, z)], [(z, ring.one), (ring.one, z), (z, z)]):
+        out = ring._dot(pairs)
+        assert out == z and _fields(out) == _fields(z)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_dot_matches_a_sum_of_products(name, data):
+    pairs = data.draw(st.lists(st.tuples(ELEMENTS[name], ELEMENTS[name]), max_size=6))
+    ring = RINGS[name]
+    expected = ring.zero
+    for a, b in pairs:
+        expected = expected + a * b
+    assert _fields(ring._dot(pairs)) == _fields(ring.coerce(expected))
+
+
+def test_dot_rescales_to_a_common_denominator():
+    # pairs over 2, then 3, then 2 again: each needs the running lcm
+    half, third = Rational(1, 2), Rational(1, 3)
+    pairs = [(half, Rational(1)), (third, Rational(1)), (half, half)]
+    assert RATIONAL_RING._dot(pairs) == Rational(13, 12)
+    lp = [(LambdaPoly([half, 1]), LambdaPoly([1])), (LambdaPoly([third]), LAM),
+          (LambdaPoly([0, half]), LambdaPoly([half]))]
+    assert _fields(LAMBDA_RING._dot(lp)) == _fields(LambdaPoly([half, Rational(19, 12)]))
+    xp = [(XPoly([p]), XPoly([0, q])) for p, q in lp]
+    expected = XPoly([0, LambdaPoly([half, Rational(19, 12)])])
+    assert _fields(XPOLY_RING._dot(xp)) == _fields(expected)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_mul_matches_the_per_term_reference(name, data):
+    a = data.draw(series_in(name))
+    b = data.draw(series_in(name))
+    _same((a * b).coeffs, _mul_reference(a, b))
+
+
+UNIT_HEADS = st.sampled_from([Rational(1), Rational(-1), Rational(1, 2), Rational(-3, 4)])
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_reciprocal_matches_the_per_term_reference(name, data):
+    s = data.draw(series_in(name, valuation=0, head=data.draw(UNIT_HEADS)))
+    _same(s.reciprocal().coeffs, _reciprocal_reference(s))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_exp_matches_the_per_term_reference(name, data):
+    s = data.draw(series_in(name, valuation=data.draw(st.integers(1, 3))))
+    _same(s.exp().coeffs, _exp_reference(s))
+
+
+def _outer_of_degree(draw, name, order):
+    # outer series with a degree below the order, interior zeros included
+    degree = draw(st.integers(0, order))
+    cs = draw(st.lists(ELEMENTS[name], min_size=degree + 1, max_size=degree + 1))
+    return Series("u", order, cs, RINGS[name])
+
+
+@pytest.mark.parametrize("outer_name, inner_name", [
+    ("rational", "rational"), ("rational", "lambda"), ("lambda", "lambda"),
+    ("lambda", "xpoly"), ("xpoly", "xpoly"),
+])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_compose_matches_the_all_powers_reference(outer_name, inner_name, data):
+    inner = data.draw(series_in(inner_name, valuation=data.draw(st.integers(1, 2))))
+    outer = _outer_of_degree(data.draw, outer_name, data.draw(ORDERS))
+    _same(outer.compose(inner).coeffs, _compose_reference(outer, inner))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("outer_cs", [
+    [],                      # the zero outer
+    [Rational(-2, 3)],       # a constant outer
+    [0, 0, 1],               # degree 2, far below the order
+    [1, 0, 0, Rational(1, 2), 0, 0, 0, 3],  # interior zeros
+])
+def test_compose_edge_outers_match_the_reference(name, outer_cs):
+    ring = RINGS[name]
+    inner = Series("t", 16, [0, 1, Rational(1, 2), 0, Rational(-1, 3)], ring)
+    if name != "rational":
+        inner = inner + Series("t", 16, [0, 0, LAM], ring)
+    if name == "xpoly":
+        inner = inner + Series("t", 16, [0, X], ring)
+    outer = Series("u", 16, outer_cs, RATIONAL_RING)
+    _same(outer.compose(inner).coeffs, _compose_reference(outer, inner))
