@@ -88,13 +88,15 @@ def _member(args, n: int, k: int | None = None):
     """Row n (column k of a triangle) of args.family, specialised to args.lam and args.x."""
     family = args.family
     if family in _TRIANGLE_FAMILIES:
+        if args.x is not None:
+            raise ValueError(f"--x does not apply to {family}: its entries do not depend on x")
         if k is None:
             raise ValueError(f"eval of {family} requires --k")
         v = fam.stirling(_TRIANGLE_FAMILIES[family], n, k)
-    elif family == "geom_r":
-        v = fam.geometric_r(n, args.r)
     elif family in _SEQUENCE_FAMILIES:
-        v = _SEQUENCE_FAMILIES[family](n)
+        if k is not None:
+            raise ValueError(f"--k does not apply to {family}: it has one member per n")
+        v = fam.geometric_r(n, args.r) if family == "geom_r" else _SEQUENCE_FAMILIES[family](n)
     else:
         known = ", ".join(sorted(_SEQUENCE_FAMILIES) + sorted(_TRIANGLE_FAMILIES))
         raise ValueError(f"unknown family {family!r}; known: {known}")

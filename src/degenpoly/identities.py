@@ -37,7 +37,7 @@ from .poly import (
     lambda_falling,
     lambda_substitute,
 )
-from .series import LAMBDA_RING, RATIONAL_RING, Series, diag_weight, first_mismatch
+from .series import LAMBDA_RING, RATIONAL_RING, XPOLY_RING, Series, diag_weight, first_mismatch
 from .ratfunc import RationalFn, gamma_moment, substitute_mobius
 from .render import value_to_json
 from . import families as fam
@@ -282,18 +282,17 @@ def _s1_lambda_weight(m: int, l: int) -> LambdaPoly:
 
 def _s1_mobius_numerator(m: int, poly_of, bump_l0=False) -> XPoly:
     # sum over l of weight(m,l) times poly_of(l)(x/(1-x)) cleared to the
-    # common denominator (1-x)^m
+    # common denominator (1-x)^m, as one x-ring dot
     base = XP_ONE - X
-    num = XPoly()
-    for l in range(m + 1):
-        w = _s1_lambda_weight(m, l)
-        if bump_l0 and l == 0:
-            w = w + 1
-        if not w:
-            continue
+    weights = [_s1_lambda_weight(m, l) for l in range(m + 1)]
+    if bump_l0:
+        weights[0] = weights[0] + 1
+
+    def cleared(l):
         p = poly_of(l)
-        num = num + w * substitute_mobius(p, -1).num * base ** (m - p.degree)
-    return num
+        return substitute_mobius(p, -1).num * base ** (m - p.degree)
+
+    return XPOLY_RING._dot((XPoly.coerce(w), cleared(l)) for l, w in enumerate(weights) if w)
 
 
 @_check("T7", fault="adds 1 to the S1(m, 0) weight")
@@ -331,37 +330,26 @@ def check_E04(n_max=40, perturbed=False):
     """the change-of-basis tables are mutually inverse: classical pairs in
     both composition orders, deformed pair in one, plus reconstruction
     of both falling-factorial bases"""
+    s1, s2, s1d, s2d = (fam.triangular_table(k, n_max).rows for k in ("S1", "S2", "S1deg", "S2deg"))
     for n in range(min(n_max, 12) + 1):
-        rebuilt = XPoly()
-        for k in range(n + 1):
-            rebuilt = rebuilt + fam.stirling("S2deg", n, k) * fam.falling_factorial(k)
-        if rebuilt != fam.falling_factorial_lambda(n):
-            return {"n": n, "basis": "deformed"}, rebuilt, fam.falling_factorial_lambda(n)
-        rebuilt = XPoly()
-        for k in range(n + 1):
-            rebuilt = rebuilt + fam.stirling("S1deg", n, k) * fam.falling_factorial_lambda(k)
-        if rebuilt != fam.falling_factorial(n):
-            return {"n": n, "basis": "classical"}, rebuilt, fam.falling_factorial(n)
+        for basis, table, by, want in (
+            ("deformed", s2d, fam.falling_factorial, fam.falling_factorial_lambda(n)),
+            ("classical", s1d, fam.falling_factorial_lambda, fam.falling_factorial(n)),
+        ):
+            rebuilt = XPOLY_RING._dot((XPoly.coerce(e), by(k)) for k, e in enumerate(table[n]))
+            if rebuilt != want:
+                return {"n": n, "basis": basis}, rebuilt, want
     for n in range(n_max + 1):
+        row = s1d[n]
+        if perturbed and n == 2:
+            row = (row[0], row[1] + 1, *row[2:])
         for m in range(n + 1):
             want = RAT_ONE if n == m else RAT_ZERO
-            got = RAT_ZERO
-            got2 = RAT_ZERO
-            for k in range(m, n + 1):
-                got += fam.stirling("S1", n, k).constant_value() * fam.stirling(
-                    "S2", k, m
-                ).constant_value()
-                got2 += fam.stirling("S2", n, k).constant_value() * fam.stirling(
-                    "S1", k, m
-                ).constant_value()
-            if got != want or got2 != want:
-                return {"n": n, "m": m, "pair": "classical"}, got if got != want else got2, want
-            val = LP_ZERO
-            for k in range(m, n + 1):
-                a = fam.stirling("S1deg", n, k)
-                if perturbed and (n, k) == (2, 1):
-                    a = a + 1
-                val = val + a * fam.stirling("S2deg", k, m)
+            for a, b in ((s1, s2), (s2, s1)):
+                got = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1)).constant_value()
+                if got != want:
+                    return {"n": n, "m": m, "pair": "classical"}, got, want
+            val = LAMBDA_RING._dot((row[k], s2d[k][m]) for k in range(m, n + 1))
             if val != want:
                 return {"n": n, "m": m, "pair": "deformed"}, val, LambdaPoly.const(want)
 
@@ -451,14 +439,15 @@ def check_R9(n_max=16, perturbed=False):
     rational-function value at x = -1: geometric and Eulerian routes agree"""
     mhalf = Rational(-1, 2)
     for n in range(n_max + 1):
-        via_geom = LP_ZERO
-        via_euler = LP_ZERO
-        for l in range(n + 1):
-            w = _s1_lambda_weight(n, l)
-            if not w:
-                continue
-            via_geom = via_geom + w * fam.geometric(l).eval_x(mhalf)
-            via_euler = via_euler + w * fam.eulerian_poly(l).eval_x(-1) * Rational(1, 2 ** (l + 1))
+        weights = [_s1_lambda_weight(n, l) for l in range(n + 1)]
+        via_geom = LAMBDA_RING._dot(
+            (w, fam.geometric(l).eval_x(mhalf)) for l, w in enumerate(weights) if w
+        )
+        via_euler = LAMBDA_RING._dot(
+            (w, fam.eulerian_poly(l).eval_x(-1) * Rational(1, 2 ** (l + 1)))
+            for l, w in enumerate(weights)
+            if w
+        )
         if not perturbed:
             via_geom = via_geom / 2
         if via_geom != via_euler:

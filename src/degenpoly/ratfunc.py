@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .rational import Rational
-from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact
+from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact, _xpoly_dot
 from .series import LAMBDA_RING, Series, _unit_value
 
 __all__ = [
@@ -162,12 +162,8 @@ def gamma_moment(y_coeffs: Sequence[Union[XPoly, LambdaPoly]]) -> XPoly:
     """Integrate sum_k y_coeffs[k] * y^k against e^{-y} dy on (0, ∞).
 
     The k-th moment of the unit exponential weight is exactly k!, so
-    the integral collapses to sum_k k! * y_coeffs[k], an XPoly.  The
-    entries may be XPoly or anything that coerces into one.
+    the integral collapses to sum_k k! * y_coeffs[k], an XPoly, summed as
+    one x-ring dot.  The entries may be XPoly or anything that coerces
+    into one.
     """
-    out = XPoly()
-    for k, c in enumerate(y_coeffs):
-        c = XPoly.coerce(c)
-        if c:
-            out = out + factorial(k) * c
-    return out
+    return _xpoly_dot((XPoly.const(factorial(k)), XPoly.coerce(c)) for k, c in enumerate(y_coeffs))

@@ -18,10 +18,9 @@ held.  reciprocal() needs a unit constant term, and ratfunc asks the
 same of the constant term of a denominator.
 
 Kernel rule: each coefficient of a product, reciprocal, exp or compose
-is one ring dot, the sum of a*b over its pairs of coefficients built in
-a single accumulator and normalised once (the kernels live in poly,
-next to the types they sum).  compose builds the powers of the inner
-series only up to the outer series' last nonzero coefficient.
+is one ring dot, as poly's sum-of-products rule says.  compose builds
+the powers of the inner series only up to the outer series' last
+nonzero coefficient.
 """
 
 from __future__ import annotations

@@ -211,6 +211,24 @@ def test_eval_errors(capsys):
     assert code == 2 and "pole" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("table", "--family", "stirling2", "--n", "1", "--x", "1", "--format", "json"), "--x"),
+    (("table", "--family", "stirling1_deg", "--n-max", "3", "--x=-1/2"), "--x"),
+    (("eval", "--family", "stirling2", "--n", "4", "--k", "2", "--x", "0"), "--x"),
+    (("eval", "--family", "bell", "--n", "3", "--k", "2"), "--k"),
+    (("eval", "--family", "geom_r", "--n", "3", "--r", "2", "--k", "0"), "--k"),
+])
+def test_options_that_cannot_apply_are_refused(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} does not apply to ")
+
+
+def test_symbolic_x_still_applies_to_a_triangle(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--family", "stirling2", "--n", "4", "--k", "2", "--x=sym")
+    assert code == 0 and out.strip() == "7"
+
+
 def test_bad_rational_argument(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--family", "bell", "--n", "1", "--x", "zzz"])

@@ -1,5 +1,6 @@
 """Identity checks: the registry, verdicts, and fault injection."""
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -16,6 +17,8 @@ from degenpoly.identities import (
     verdict_to_dict,
     verdicts_to_json,
 )
+from degenpoly import families as fam
+from degenpoly.rational import Rational
 from degenpoly.render import value_from_json
 from degenpoly.families import e_lambda_series, exp_series
 
@@ -189,6 +192,27 @@ def test_verdict_json_round_trip():
     # serialized sides reconstruct to exact values that still disagree
     assert value_from_json(ce["lhs"]) != value_from_json(ce["rhs"])
     assert loaded[1]["checked_range"] == {"n_max": 4}
+
+
+def test_E04_classical_counterexample_is_a_rational(monkeypatch):
+    # no golden file reaches the classical pair's failure: corrupt S1(3, 1)
+    # in the rows E04 reads and check the counterexample's shape
+    real = fam.triangular_table
+
+    def corrupted(kind, n_max):
+        table = real(kind, n_max)
+        if kind != "S1":
+            return table
+        rows = [list(r) for r in table.rows]
+        rows[3][1] = rows[3][1] + Rational(1, 2)
+        return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(fam, "triangular_table", corrupted)
+    v = run_check("E04", {"n_max": 5})
+    assert v.counterexample["indices"] == {"n": 3, "m": 1, "pair": "classical"}
+    assert type(v.counterexample["lhs"]) is Rational and v.counterexample["lhs"] == Rational(1, 2)
+    ce = json.loads(verdicts_to_json([v]))[0]["counterexample"]
+    assert ce["lhs"] == "1/2" and ce["rhs"] == "0"
 
 
 def test_verdict_to_dict_passing():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenpoly import poly
 from degenpoly.rational import Rational
 from degenpoly.poly import (
     LAM,
@@ -308,3 +309,77 @@ def test_lambda_poly_matches_fraction_reference(a, b, v):
     while scaled and not scaled[-1]:
         scaled.pop()
     assert a.scale_lambda(v).coeffs == tuple(scaled)
+
+
+def xpoly_mul_by_loop(a: XPoly, b) -> XPoly:
+    # the per-term x-convolution XPoly.__mul__ ran before it became the
+    # one-pair x-ring dot, kept as the reference the dot must reproduce
+    ac, bc = a.coeffs, XPoly.coerce(b).coeffs
+    if not ac or not bc:
+        return XP_ZERO
+    out = [LP_ZERO] * (len(ac) + len(bc) - 1)
+    for i, ai in enumerate(ac):
+        if not ai:
+            continue
+        for j, bj in enumerate(bc):
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return XPoly(out)
+
+
+def _xfields(p):
+    assert type(p) is XPoly
+    return tuple((c.num, c.den) for c in p.coeffs)
+
+
+# λ-coefficients with zeros and denominators other than 1; XPolys that are
+# zero, constant, sparse monomials or dense
+sparse_lambda_polys = st.builds(
+    LambdaPoly, st.lists(st.one_of(st.just(0), rationals, wide_rationals), max_size=4)
+)
+mul_xpolys = st.one_of(
+    st.just(XP_ZERO),
+    st.builds(XPoly.const, st.one_of(rationals, sparse_lambda_polys)),
+    st.builds(XPoly.monomial, sparse_lambda_polys, st.integers(0, 6)),
+    st.builds(XPoly, st.lists(sparse_lambda_polys, max_size=5)),
+)
+
+
+@given(mul_xpolys, mul_xpolys, st.one_of(rationals, wide_rationals, st.integers(-9, 9)),
+       sparse_lambda_polys)
+@settings(max_examples=150)
+def test_xpoly_mul_matches_the_per_term_loop(a, b, q, lp):
+    assert _xfields(a * b) == _xfields(xpoly_mul_by_loop(a, b))
+    assert _xfields(q * b) == _xfields(xpoly_mul_by_loop(b, q))
+    assert _xfields(b * q) == _xfields(xpoly_mul_by_loop(b, q))
+    assert _xfields(lp * a) == _xfields(xpoly_mul_by_loop(a, lp))
+
+
+def test_xpoly_mul_examples_match_the_per_term_loop():
+    half = LambdaPoly([Rational(1, 2), Rational(-2, 3)])
+    cases = [
+        (XP_ZERO, X), (X, XP_ZERO), (XP_ONE, XP_ONE),
+        (XPoly.monomial(half, 4), XPoly.monomial(LAM, 3)),
+        (XPoly([half, 0, 0, LAM]), XPoly([0, 0, Rational(3, 4)])),
+        (XPoly([1, LAM]), XPoly([1, -LAM])),
+    ]
+    for a, b in cases:
+        assert _xfields(a * b) == _xfields(xpoly_mul_by_loop(a, b))
+
+
+def test_x_dot_hands_the_lambda_dot_no_zero_factor(monkeypatch):
+    # zero λ-coefficients of sparse operands cost nothing: no pair that
+    # reaches the λ-kernel has a zero factor
+    seen = []
+    inner = poly._lambda_dot
+
+    def spy(pairs):
+        pairs = list(pairs)
+        seen.extend(pairs)
+        return inner(pairs)
+
+    monkeypatch.setattr(poly, "_lambda_dot", spy)
+    a = XPoly([LAM, 0, 0, Rational(1, 2)])
+    b = XPoly([0, 1, 0, 0, LAM + 1])
+    assert _xfields(a * b) == _xfields(xpoly_mul_by_loop(a, b))
+    assert len(seen) == 4 and all(x and y for x, y in seen)

@@ -1,11 +1,13 @@
 """Rational functions of x and the two substitution rules."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenpoly.rational import Rational
-from degenpoly.poly import LAM, X, XP_ONE, LambdaPoly, XPoly
+from degenpoly.poly import LAM, LP_ZERO, X, XP_ONE, XP_ZERO, LambdaPoly, XPoly
 from degenpoly.ratfunc import PoleError, RationalFn, gamma_moment, substitute_mobius
 from degenpoly.series import NonInvertibleError
 from degenpoly.families import bell_deg, bell_second_deg, bell_partial_deg, geometric_deg
@@ -178,3 +180,44 @@ def test_text_forms():
     assert str(f) == "(x) / (1 + λx)"
     assert f.latex() == "\\frac{x}{1 + \\lambda x}"
     assert str(RationalFn(X + XP_ONE)) == "1 + x"
+
+
+def gamma_moment_by_loop(y_coeffs):
+    # the per-term sum gamma_moment ran before it became one x-ring dot;
+    # k! * c scales each λ-coefficient, so no x-product is involved
+    out = XPoly()
+    for k, c in enumerate(y_coeffs):
+        c = XPoly.coerce(c)
+        if c:
+            out = out + XPoly([factorial(k) * ck for ck in c.coeffs])
+    return out
+
+
+def _xfields(p):
+    assert type(p) is XPoly
+    return tuple((c.num, c.den) for c in p.coeffs)
+
+
+def _t1_moments(n):
+    # the moments T1 integrates: coefficient k of bell_partial_deg(n) at x^k
+    p = bell_partial_deg(n)
+    return [XPoly.monomial(p.coeff(k), k) for k in range(p.degree + 1)]
+
+
+@pytest.mark.parametrize("y_coeffs", [
+    [],
+    [0], [XP_ZERO, LP_ZERO, 0],
+    [X, -X],                                # cancels to zero
+    [0, X, Rational(-1, 2) * X],            # cancels in the top power of x
+    [LAM, XPoly([Rational(1, 3), LAM]), Rational(-5, 2), XPoly.monomial(LambdaPoly([0, 0, 1]), 3)],
+    _t1_moments(12),
+    [XP_ZERO] + _t1_moments(12),
+])
+def test_gamma_moment_matches_the_per_term_loop(y_coeffs):
+    assert _xfields(gamma_moment(y_coeffs)) == _xfields(gamma_moment_by_loop(y_coeffs))
+
+
+@given(st.lists(st.one_of(rationals, lambdapolys, bivariate), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_gamma_moment_matches_the_per_term_loop_on_mixed_entries(y_coeffs):
+    assert _xfields(gamma_moment(y_coeffs)) == _xfields(gamma_moment_by_loop(y_coeffs))
