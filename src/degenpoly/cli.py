@@ -67,16 +67,14 @@ def _specialise(value, lam, x):
     """Substitute the requested rational values into a family member."""
     if isinstance(value, LambdaPoly):
         return value.eval(lam) if lam is not None else value
-    if isinstance(value, XPoly):
-        if lam is not None:
-            value = value.eval_lambda(lam)
-        if x is not None:
-            out = value.eval_x(x)
-            return out.constant_value() if lam is not None else out
-        return value
-    # every other family member is a RationalFn
+    # every other family member is an XPoly or a RationalFn; both
+    # evaluate at rational x and λ in one pass
     if lam is not None and x is not None:
         return value.eval(x, lam)
+    if isinstance(value, XPoly):
+        if lam is not None:
+            return value.eval_lambda(lam)
+        return value.eval_x(x) if x is not None else value
     if lam is not None:
         return RationalFn(value.num.eval_lambda(lam), value.den.eval_lambda(lam))
     if x is not None:
@@ -84,22 +82,32 @@ def _specialise(value, lam, x):
     return value
 
 
+def _geom_r_order(args) -> int:
+    # the order r of geom_r: --r, or 1 when it is absent
+    return 1 if args.r is None else args.r
+
+
 def _member(args, n: int, k: int | None = None):
     """Row n (column k of a triangle) of args.family, specialised to args.lam and args.x."""
     family = args.family
+    if family not in _SEQUENCE_FAMILIES and family not in _TRIANGLE_FAMILIES:
+        known = ", ".join(sorted(_SEQUENCE_FAMILIES) + sorted(_TRIANGLE_FAMILIES))
+        raise ValueError(f"unknown family {family!r}; known: {known}")
+    if args.r is not None and family != "geom_r":
+        raise ValueError(f"--r does not apply to {family}: only geom_r has an order")
     if family in _TRIANGLE_FAMILIES:
         if args.x is not None:
             raise ValueError(f"--x does not apply to {family}: its entries do not depend on x")
         if k is None:
             raise ValueError(f"eval of {family} requires --k")
         v = fam.stirling(_TRIANGLE_FAMILIES[family], n, k)
-    elif family in _SEQUENCE_FAMILIES:
+    else:
         if k is not None:
             raise ValueError(f"--k does not apply to {family}: it has one member per n")
-        v = fam.geometric_r(n, args.r) if family == "geom_r" else _SEQUENCE_FAMILIES[family](n)
-    else:
-        known = ", ".join(sorted(_SEQUENCE_FAMILIES) + sorted(_TRIANGLE_FAMILIES))
-        raise ValueError(f"unknown family {family!r}; known: {known}")
+        if family == "geom_r":
+            v = fam.geometric_r(n, _geom_r_order(args))
+        else:
+            v = _SEQUENCE_FAMILIES[family](n)
     return _specialise(v, args.lam, args.x)
 
 
@@ -166,7 +174,7 @@ def _cmd_table(args) -> int:
             ],
         }
         if family == "geom_r":
-            payload["r"] = args.r
+            payload["r"] = _geom_r_order(args)
         _write(json.dumps(payload, indent=2), args.output)
     elif args.format == "latex":
         lines = ["\\begin{tabular}{" + "r" * (len(header) - 1) + "l}"]
@@ -234,14 +242,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, with_x=True):
+    def common(sp):
         sp.add_argument("--family", required=True, help="family name, e.g. bell_deg, stirling2")
         sp.add_argument("--lambda", dest="lam", type=_rat_or_sym, default=None,
                         metavar="P/Q|sym", help="deformation parameter value (default: symbolic)")
-        if with_x:
-            sp.add_argument("--x", type=_rat_or_sym, default=None, metavar="P/Q|sym",
-                            help="value for x (default: symbolic)")
-        sp.add_argument("--r", type=int, default=1, help="order for geom_r (default 1)")
+        sp.add_argument("--x", type=_rat_or_sym, default=None, metavar="P/Q|sym",
+                        help="value for x (default: symbolic)")
+        sp.add_argument("--r", type=int, default=None,
+                        help="order for geom_r (default 1); no other family takes it")
         sp.add_argument("--output", default=None, metavar="PATH", help="write to file instead of stdout")
 
     t = sub.add_parser("table", help="print family members for a range of n")

@@ -260,12 +260,20 @@ def check_T5_T6(n_max=12, order=16, perturbed=False):
         [LP_ZERO] + [LambdaPoly.monomial(sign**(k - 1), k - 1) for k in range(1, order + 1)],
         LAMBDA_RING,
     )
+    # inner has no constant term, so u^k with k > order cannot reach x^order;
+    # its powers are built once and composed coefficient j is one λ-dot
+    # over k <= j of [u^k] bell_deg(n) times [x^j] inner^k
+    powers = [Series.one("x", order, LAMBDA_RING)]
+    for _ in range(min(n_max, order)):
+        powers.append(powers[-1] * inner)
     for n in range(n_max + 1):
         rf = fam.bell_second_deg(n)
         closed = rf.expand(order)
-        # inner has no constant term, so u^k with k > order cannot reach x^order
-        outer = Series("u", order, fam.bell_deg(n).coeffs[: order + 1], LAMBDA_RING)
-        composed = outer.compose(inner)
+        outer = fam.bell_deg(n).coeffs[: order + 1]
+        composed = Series("x", order, [
+            LAMBDA_RING._dot((c, powers[k].coeffs[j]) for k, c in enumerate(outer[: j + 1]))
+            for j in range(order + 1)
+        ], LAMBDA_RING)
         bad = first_mismatch(closed, composed)
         if bad is not None:
             return {"n": n, "coeff": bad[0]}, bad[1], bad[2]

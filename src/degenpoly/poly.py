@@ -6,6 +6,9 @@ numerators over one shared positive denominator, reduced by their
 common gcd.  Every Stirling-table entry and every falling product has
 integer coefficients, so the denominator is almost always 1 and
 multiplying two λ-polynomials is an integer schoolbook convolution.
+Evaluation is Horner's rule on integers over one common denominator,
+at a rational λ (``LambdaPoly.eval``) and at a rational x
+(``XPoly.eval_x``).
 XPoly is a polynomial in x whose coefficients are LambdaPoly values, so
 it is effectively a bivariate polynomial in (x, λ).  Both are dense,
 lowest degree first, with no trailing zeros; the zero polynomial has no
@@ -35,6 +38,7 @@ it answered the query-warm benchmark 5-10% slower.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add
 from typing import Iterable
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
@@ -364,12 +368,30 @@ class XPoly(_Exact):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else LP_ZERO
 
     def eval_x(self, value) -> LambdaPoly:
-        """Substitute a rational for x; the result still depends on λ."""
+        """Substitute a rational p/q for x; the result still depends on λ.
+
+        The x-twin of ``LambdaPoly.eval``: Horner over integers on
+        L * q^degree * self(p/q), L the lcm of the coefficient
+        denominators, so each step multiplies the λ-numerator list by p
+        and adds the next coefficient's numerators lifted by L/den * q^k,
+        and the result is divided once, by L * q^degree.
+        """
         v = as_rational(value)
-        acc = LP_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        cs = self.coeffs
+        if not cs:
+            return LP_ZERO
+        p, q = v.numerator, v.denominator
+        big = lcm(*(c.den for c in cs))
+        acc, qk = [], 1
+        for c in reversed(cs):
+            acc = [a * p for a in acc]
+            if c.num:
+                m, lift = len(c.num), big // c.den * qk
+                if len(acc) < m:
+                    acc.extend([0] * (m - len(acc)))
+                acc[:m] = map(add, acc[:m], [a * lift for a in c.num])
+            qk *= q
+        return LambdaPoly._new(acc, big * q**self.degree)
 
     def eval(self, x, lam) -> Rational:
         """Evaluate at rational x and rational deformation parameter."""

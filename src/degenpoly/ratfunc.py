@@ -20,7 +20,8 @@ weight e^{-y} on (0, ∞) by sending y^k to k!.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 from typing import Sequence, Union
 
 from .rational import Rational
@@ -143,19 +144,33 @@ def substitute_mobius(p: XPoly, shift) -> RationalFn:
     sum_{k<=j} C(d-k, j-k) s^(j-k) c_k.  That is coefficient d-j of
     r(t + s), where r(t) = sum_k c_k t^(d-k) is p reversed, so the sums
     are read off a Taylor shift of r by s: d Horner passes, each step one
-    product with s and one sum.  The denominator is sum_j C(d, j) s^j x^j.
+    product with s and one sum.  The passes run on integer numerators:
+    with s = S/E (S the integer λ-numerators of s) and L the lcm of the
+    coefficient denominators, c_k enters as the integers c_k*L*E^k, the
+    shift by S, and coefficient j comes out over L*E^j, divided once.
+    The denominator is sum_j C(d, j) s^j x^j.
     """
     p = XPoly.coerce(p)
     s = LambdaPoly.coerce(shift)
     d = p.degree
     if d < 0:
         return RationalFn(XPoly(), XP_ONE)
-    r = list(reversed(p.coeffs))
+    cs, e = p.coeffs, s.den
+    big = lcm(*(c.den for c in cs))
+    r = [[a * (big // c.den * e**k) for a in c.num] for k, c in enumerate(cs)][::-1]
+    terms = [(t, a) for t, a in enumerate(s.num) if a]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            if r[j + 1]:
-                r[j] = r[j] + s * r[j + 1]
-    return RationalFn(XPoly(reversed(r)), _binomial_power(s, d))
+            src, dst = r[j + 1], r[j]
+            if not src:
+                continue
+            for t, a in terms:
+                top = t + len(src)
+                if len(dst) < top:
+                    dst.extend([0] * (top - len(dst)))
+                dst[t:top] = map(add, dst[t:top], src if a == 1 else [a * c for c in src])
+    num = [LambdaPoly._new(r[d - j], big * e**j) for j in range(d + 1)]
+    return RationalFn(XPoly(num), _binomial_power(s, d))
 
 
 def gamma_moment(y_coeffs: Sequence[Union[XPoly, LambdaPoly]]) -> XPoly:

@@ -1,5 +1,7 @@
 """CLI surface: table, eval, verify, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -26,6 +28,51 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CLI_RESPONSES = Path(__file__).parent / "data" / "cli_responses.json"
+SEQUENCE_FAMILIES = ("bel_second", "bell", "bell_deg", "bernoulli_deg", "bernoulli_poly",
+                     "eulerian", "falling", "falling_lambda", "geom_deg", "geom_r",
+                     "geometric", "phi_deg")
+TRIANGLE_FAMILIES = ("stirling1", "stirling1_deg", "stirling2", "stirling2_deg")
+
+
+def cli_catalogue():
+    """The table/eval requests whose responses tests/data/cli_responses.json pins.
+
+    Every family at rows 0, 1, 2, 7 and 16, every λ in {sym, 0, 1/2, -1/3}
+    and, for sequence families, every x in {sym, -1, 2/3, 3}, each as a
+    csv, json and latex table and as an eval (column n // 2 of a
+    triangle); geom_r also at --r 3.  bel_second at λ = -1/3, x = 3 is a
+    pole for every n >= 1.
+    """
+    requests = []
+
+    def each_command(base, k):
+        for fmt in ("csv", "json", "latex"):
+            requests.append(["table", *base, "--format", fmt])
+        requests.append(["eval", *base] + ([] if k is None else ["--k", str(k)]))
+
+    for family in SEQUENCE_FAMILIES + TRIANGLE_FAMILIES:
+        triangle = family in TRIANGLE_FAMILIES
+        for n in (0, 1, 2, 7, 16):
+            for lam in ("sym", "0", "1/2", "-1/3"):
+                for x in ("sym",) if triangle else ("sym", "-1", "2/3", "3"):
+                    base = ["--family", family, "--n", str(n), f"--lambda={lam}"]
+                    each_command(base if triangle else [*base, f"--x={x}"],
+                                 n // 2 if triangle else None)
+    for n in (2, 7):
+        for lam in ("sym", "1/2"):
+            each_command(["--family", "geom_r", "--n", str(n), f"--lambda={lam}", "--r", "3"], None)
+    return requests
+
+
+def replay(argv):
+    """One in-process request: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def test_table_csv(capsys):
@@ -164,6 +211,14 @@ def test_x_only_value_over_one_keeps_both_parts_in_latex_and_json(capsys):
     assert json.loads(out)["rows"] == [{"n": 0, "value": {"num": ["1"], "den": ["1"]}}]
 
 
+def test_table_and_eval_responses_match_the_golden_catalogue():
+    golden = json.loads(CLI_RESPONSES.read_text(encoding="utf-8"))
+    assert [g["argv"] for g in golden] == cli_catalogue()
+    assert any(g["code"] == 2 and g["stderr"].startswith("error: pole: ") for g in golden)
+    differ = [g["argv"] for g in golden if replay(g["argv"]) != g]
+    assert not differ, f"{len(differ)} responses differ, first {differ[:3]}"
+
+
 def test_table_unknown_family(capsys):
     code, out, err = run_cli(capsys, "table", "--family", "nope", "--n", "1")
     assert code == 2 and out == ""
@@ -217,11 +272,27 @@ def test_eval_errors(capsys):
     (("eval", "--family", "stirling2", "--n", "4", "--k", "2", "--x", "0"), "--x"),
     (("eval", "--family", "bell", "--n", "3", "--k", "2"), "--k"),
     (("eval", "--family", "geom_r", "--n", "3", "--r", "2", "--k", "0"), "--k"),
+    (("table", "--family", "bell", "--n", "2", "--r", "3"), "--r"),
+    (("table", "--family", "bel_second", "--n", "2", "--r", "1", "--format", "json"), "--r"),
+    (("eval", "--family", "stirling2", "--n", "4", "--k", "2", "--r", "2"), "--r"),
 ])
 def test_options_that_cannot_apply_are_refused(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {option} does not apply to ")
+
+
+def test_geom_r_order_defaults_to_one(capsys):
+    argv = ("table", "--family", "geom_r", "--n", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["r"] == 1
+    assert run_cli(capsys, *argv, "--r", "1") == (code, out, "")
+
+
+def test_unknown_family_is_named_before_a_refused_r(capsys):
+    code, out, err = run_cli(capsys, "eval", "--family", "nope", "--n", "1", "--r", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown family 'nope'")
 
 
 def test_symbolic_x_still_applies_to_a_triangle(capsys):

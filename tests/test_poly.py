@@ -383,3 +383,40 @@ def test_x_dot_hands_the_lambda_dot_no_zero_factor(monkeypatch):
     b = XPoly([0, 1, 0, 0, LAM + 1])
     assert _xfields(a * b) == _xfields(xpoly_mul_by_loop(a, b))
     assert len(seen) == 4 and all(x and y for x, y in seen)
+
+
+def eval_x_by_horner(p: XPoly, value) -> LambdaPoly:
+    # the LambdaPoly Horner XPoly.eval_x ran before its integer kernel,
+    # kept as the reference the kernel must reproduce
+    v = Rational(value)
+    acc = LP_ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+X_VALUES = [0, -1, 3, Rational(-1, 2), Rational(2, 3), Rational(7, 12)]
+
+
+@given(mul_xpolys, st.sampled_from(X_VALUES), st.one_of(rationals, wide_rationals))
+@settings(max_examples=150)
+def test_eval_x_matches_the_lambda_poly_horner(p, v, lam):
+    got, want = p.eval_x(v), eval_x_by_horner(p, v)
+    assert type(got) is LambdaPoly
+    assert (got.num, got.den) == (want.num, want.den)
+    assert p.eval(v, lam) == want.eval(lam)
+
+
+@pytest.mark.parametrize("v", X_VALUES)
+def test_eval_x_examples_match_the_lambda_poly_horner(v):
+    cases = [
+        XP_ZERO,
+        XPoly.const(Rational(-5, 6)),
+        XPoly.const(LambdaPoly([Rational(1, 4), 0, 3])),
+        XPoly([LambdaPoly([Rational(1, 2), Rational(-2, 3)]), 0, LAM / 9, Rational(7, 10)]),
+        XPoly.monomial(LambdaPoly([0, Rational(3, 8)]), 5),
+        X - 1,
+    ]
+    for p in cases:
+        got, want = p.eval_x(v), eval_x_by_horner(p, v)
+        assert (got.num, got.den) == (want.num, want.den)

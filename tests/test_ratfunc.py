@@ -17,7 +17,9 @@ xpolys = st.builds(XPoly, st.lists(rationals, max_size=4))
 lambdapolys = st.builds(LambdaPoly, st.lists(rationals, max_size=3))
 # up to degree 12 in x, with coefficients up to degree 2 in λ
 bivariate = st.builds(XPoly, st.lists(lambdapolys, max_size=13))
-SHIFTS = [LAM, -LAM, -1, 0, Rational(1, 2), 2 - 3 * LAM]
+# every kind of shift: λ-free or not, integer or over a denominator, with
+# leading coefficient 1 or not
+SHIFTS = [LAM, -LAM, -1, 0, Rational(1, 2), 2 - 3 * LAM, Rational(2, 3) - LAM / 5]
 
 
 def mobius_by_loop(p, shift):
@@ -36,6 +38,21 @@ def mobius_by_loop(p, shift):
         if k:
             pw = pw * base
     return RationalFn(num, base**d)
+
+
+def mobius_by_taylor_shift(p, shift):
+    # the LambdaPoly Taylor shift substitute_mobius ran before its integer
+    # kernel, kept as the reference the kernel must reproduce
+    s = LambdaPoly.coerce(shift)
+    d = p.degree
+    if d < 0:
+        return RationalFn(XPoly(), XP_ONE)
+    r = list(reversed(p.coeffs))
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            if r[j + 1]:
+                r[j] = r[j] + s * r[j + 1]
+    return RationalFn(XPoly(reversed(r)), mobius_by_loop(p, shift).den)
 
 
 def test_denominator_must_be_unit():
@@ -221,3 +238,27 @@ def test_gamma_moment_matches_the_per_term_loop(y_coeffs):
 @settings(max_examples=60, deadline=None)
 def test_gamma_moment_matches_the_per_term_loop_on_mixed_entries(y_coeffs):
     assert _xfields(gamma_moment(y_coeffs)) == _xfields(gamma_moment_by_loop(y_coeffs))
+
+
+@given(bivariate, st.sampled_from(SHIFTS))
+@settings(max_examples=100, deadline=None)
+def test_substitute_mobius_matches_the_lambda_poly_taylor_shift(p, shift):
+    got, want = substitute_mobius(p, shift), mobius_by_taylor_shift(p, shift)
+    assert _xfields(got.num) == _xfields(want.num)
+    assert _xfields(got.den) == _xfields(want.den)
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_substitute_mobius_examples_match_the_lambda_poly_taylor_shift(shift):
+    # mixed denominators, interior zeros, and 1 + λx, whose top numerator
+    # coefficient cancels at shift -λ
+    cases = [
+        bell_deg(9),
+        XPoly([Rational(1, 2), 0, LambdaPoly([Rational(-2, 3), 0, Rational(5, 4)]), 0, 7]),
+        XPoly([0, 0, LAM / 6]),
+        XP_ONE + LAM * X,
+    ]
+    for p in cases:
+        got, want = substitute_mobius(p, shift), mobius_by_taylor_shift(p, shift)
+        assert _xfields(got.num) == _xfields(want.num)
+        assert _xfields(got.den) == _xfields(want.den)
