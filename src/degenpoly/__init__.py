@@ -15,7 +15,6 @@ from .poly import (
     LambdaPoly,
     XPoly,
     lambda_falling,
-    lambda_substitute,
 )
 from .series import (
     LAMBDA_RING,
@@ -64,7 +63,6 @@ __all__ = [
     "LAM",
     "X",
     "lambda_falling",
-    "lambda_substitute",
     "Series",
     "RATIONAL_RING",
     "LAMBDA_RING",

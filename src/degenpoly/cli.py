@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 
 from .rational import as_rational, is_scalar
@@ -44,20 +45,30 @@ _TRIANGLE_FAMILIES = {
 _DEFAULT_N_MAX = 32
 
 
-class _Ratio:
-    # a rational-function value whose parts still depend on λ after
-    # substituting x; kept as a plain pair for rendering
-    __slots__ = ("num", "den")
+# a decimal numeral, as Fraction reads it once underscores are removed
+_DECIMAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*", re.IGNORECASE)
 
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
+
+def _spelled_digits(text: str) -> int:
+    # digits of the longer of numerator and denominator that a decimal
+    # numeral spells before reduction, counted without building either
+    m = _DECIMAL.fullmatch(text.replace("_", ""))
+    if m is None:
+        return 0
+    whole, frac, exp = m.groups(default="")
+    shift = int(exp or 0) - len(frac)
+    return len((whole + frac).lstrip("0")) + shift if shift >= 0 else 1 - shift
 
 
 def _rat_or_sym(text: str):
     if text == "sym":
         return None
     try:
+        # the int-string limit sees the digits typed, not the 10**exponent
+        # that Fraction would build first: apply it to the spelled value
+        limit = sys.get_int_max_str_digits()
+        if limit and _spelled_digits(text) > limit:
+            raise ValueError(text)
         return as_rational(text)
     except (ValueError, ZeroDivisionError, TypeError):
         raise argparse.ArgumentTypeError(f"expected a rational p/q or 'sym', got {text!r}")
@@ -78,7 +89,8 @@ def _specialise(value, lam, x):
     if lam is not None:
         return RationalFn(value.num.eval_lambda(lam), value.den.eval_lambda(lam))
     if x is not None:
-        return _Ratio(value.num.eval_x(x), value.den.eval_x(x))
+        # the (num, den) pair of λ-polynomials left by substituting x
+        return value.num.eval_x(x), value.den.eval_x(x)
     return value
 
 
@@ -114,18 +126,20 @@ def _member(args, n: int, k: int | None = None):
 def _to_text(v, latex=False) -> str:
     if is_scalar(v):
         return LambdaPoly.const(v).latex() if latex else str(v)
-    if isinstance(v, _Ratio):
+    if isinstance(v, tuple):
+        num, den = v
         if latex:
-            return f"\\frac{{{v.num.latex()}}}{{{v.den.latex()}}}"
-        if v.den == 1:
-            return str(v.num)
-        return f"({v.num}) / ({v.den})"
+            return f"\\frac{{{num.latex()}}}{{{den.latex()}}}"
+        if den == 1:
+            return str(num)
+        return f"({num}) / ({den})"
     return v.latex() if latex else v.text()
 
 
 def _to_json_value(v):
-    if isinstance(v, _Ratio):
-        return {"num": value_to_json(v.num), "den": value_to_json(v.den)}
+    if isinstance(v, tuple):
+        num, den = v
+        return {"num": value_to_json(num), "den": value_to_json(den)}
     return value_to_json(v)
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "XP_ONE",
     "XP_ZERO",
     "lambda_falling",
-    "lambda_substitute",
 ]
 
 
@@ -402,9 +401,6 @@ class XPoly(_Exact):
         v = as_rational(value)
         return XPoly._raw(_strip([LambdaPoly.const(c.eval(v)) for c in self.coeffs]))
 
-    def scale_lambda(self, factor) -> "XPoly":
-        return XPoly._raw(_strip([c.scale_lambda(factor) for c in self.coeffs]))
-
     @classmethod
     def _coerce(cls, other):
         if isinstance(other, XPoly):
@@ -548,23 +544,3 @@ def lambda_falling(base, m: int) -> LambdaPoly:
     for j in range(m):
         acc = acc * (b - LambdaPoly.monomial(j, 1))
     return acc
-
-
-def lambda_substitute(p: LambdaPoly | XPoly, *, value=None, scale=None) -> LambdaPoly | XPoly:
-    """Exact substitution for the deformation parameter.
-
-    Exactly one of the keywords must be given: value=c performs λ -> c
-    (value=0 extracts the classical limit), scale=f performs λ -> f*λ.
-    The result is the same kind of polynomial as the input.
-    """
-    if (value is None) == (scale is None):
-        raise ValueError("give exactly one of value= or scale=")
-    if isinstance(p, LambdaPoly):
-        if value is not None:
-            return LambdaPoly.const(p.eval(value))
-        return p.scale_lambda(scale)
-    if isinstance(p, XPoly):
-        if value is not None:
-            return p.eval_lambda(value)
-        return p.scale_lambda(scale)
-    raise TypeError(f"cannot substitute into {p!r}")

@@ -101,7 +101,7 @@ class RationalFn(_Exact):
         """Apply x -> x/(1 + shift*x) to the whole rational function."""
         dn, dd = self.num.degree, self.den.degree
         s = LambdaPoly.coerce(shift)
-        top = substitute_mobius(self.num, s).num if self.num else XPoly()
+        top = substitute_mobius(self.num, s).num
         bot = substitute_mobius(self.den, s).num
         # num/B^dn over den/B^dd with B = 1 + s*x; clear to a polynomial quotient
         if dn >= dd:

@@ -12,7 +12,7 @@ from time import perf_counter
 import pytest
 
 from degenpoly.cli import main as cli_main
-from degenpoly.poly import LAM, LambdaPoly, XPoly, lambda_substitute
+from degenpoly.poly import LAM, LambdaPoly, XPoly
 from degenpoly.rational import Rational
 from degenpoly.families import (
     bell_poly,
@@ -135,7 +135,7 @@ def test_06_half_point_evaluation(report):
     # spot n = 1: both sides are the constant -1/2, identically in λ
     lhs = geometric_deg(1).eval_x(Rational(-1, 2))
     beta2 = bernoulli_deg(2)
-    rhs = (beta2 - 4 * lambda_substitute(beta2, scale=Rational(1, 2))) * 1
+    rhs = (beta2 - 4 * beta2.scale_lambda(Rational(1, 2))) * 1
     ok = ok and lhs == LambdaPoly.const(Rational(-1, 2)) == rhs
 
     report(6, "geometric value at -1/2 vs Bernoulli pair, n <= 30", ok, dt)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,32 @@ def test_bad_rational_argument(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "expected a rational" in err
+
+
+@pytest.mark.parametrize("value", [
+    "1e5000", "-3e4400", "1.5e-4400", "1e10000000",
+    pytest.param("0." + "0" * 4299 + "1", id="0.<4300 digits>"),
+])
+@pytest.mark.parametrize("option", ["--x", "--lambda"])
+def test_decimal_numerals_past_the_digit_limit_are_refused(capsys, option, value):
+    # each spells a numerator or denominator longer than Python's
+    # int-string limit (4300 digits by default), which a plain numeral hits;
+    # the last one spells the denominator 10^4300 with its fraction digits
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--family", "bell", "--n", "2", f"{option}={value}"])
+    assert time.perf_counter() - t0 < 5
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a rational p/q or 'sym'" in captured.err
+
+
+def test_decimal_numerals_within_the_digit_limit_are_accepted(capsys):
+    # 10^4299 has 4300 digits, as does the denominator of 1e-4299
+    for value, want in (("1e4299", 10**4299), ("1e-4299", Fraction(1, 10**4299))):
+        code, out, _ = run_cli(capsys, "eval", "--family", "falling", "--n", "1", f"--x={value}")
+        assert code == 0 and Fraction(out.strip()) == want
 
 
 def test_calls_share_one_parser(capsys):

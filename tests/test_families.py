@@ -15,7 +15,6 @@ from degenpoly.poly import (
     LambdaPoly,
     XPoly,
     lambda_falling,
-    lambda_substitute,
 )
 from degenpoly.ratfunc import RationalFn
 from degenpoly import families
@@ -213,7 +212,7 @@ def test_falling_factorials():
     assert falling_factorial_lambda(3) == X * (X - LAM) * (X - 2 * LAM)
     # at λ=1 the deformed product is the classical one
     for n in range(6):
-        assert lambda_substitute(falling_factorial_lambda(n), value=1) == falling_factorial(n)
+        assert falling_factorial_lambda(n).eval_lambda(1) == falling_factorial(n)
     with pytest.raises(ValueError):
         falling_factorial(-1)
     with pytest.raises(ValueError):
@@ -257,8 +256,8 @@ def test_bell_numbers_from_polynomials():
 def test_bell_deg_collapses_at_lambda_one():
     # every falling product (1)_{k,1} with k >= 2 contains the factor 0
     for n in range(1, 6):
-        assert lambda_substitute(bell_deg(n), value=1) == X
-    assert lambda_substitute(bell_deg(0), value=1) == XP_ONE
+        assert bell_deg(n).eval_lambda(1) == X
+    assert bell_deg(0).eval_lambda(1) == XP_ONE
 
 
 def test_geometric_families():
@@ -335,9 +334,9 @@ def test_eulerian_polynomials_frozen():
 
 def test_degeneration_to_classical():
     for n in range(8):
-        assert lambda_substitute(bell_deg(n), value=0) == bell_poly(n)
-        assert lambda_substitute(geometric_deg(n), value=0) == geometric(n)
-        assert lambda_substitute(falling_factorial_lambda(n), value=0) == XPoly.monomial(1, n)
+        assert bell_deg(n).eval_lambda(0) == bell_poly(n)
+        assert geometric_deg(n).eval_lambda(0) == geometric(n)
+        assert falling_factorial_lambda(n).eval_lambda(0) == XPoly.monomial(1, n)
 
 
 # ---------------------------------------------------------------------------

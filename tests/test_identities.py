@@ -11,6 +11,7 @@ from degenpoly.identities import (
     MAX_BOUND,
     REGISTRY,
     Verdict,
+    _poly_battery,
     check_L2,
     run_all,
     run_check,
@@ -18,7 +19,8 @@ from degenpoly.identities import (
     verdicts_to_json,
 )
 from degenpoly import families as fam
-from degenpoly.rational import Rational
+from degenpoly.poly import XPoly
+from degenpoly.rational import RAT_ZERO, Rational
 from degenpoly.render import value_from_json
 from degenpoly.families import e_lambda_series, exp_series
 
@@ -165,6 +167,24 @@ def test_T3_at_orders_below_its_degree(order):
     v = run_check("T3", {"order": order})
     assert v.ok and v.checked_range["order"] == order
     assert not run_check("T3", {"order": order}, perturbed=True).ok
+
+
+def _f_eval_reference(coeffs, k) -> Rational:
+    # the rational Horner T3 and T4 sampled with before they called
+    # XPoly.eval, kept as the reference the polynomial must reproduce
+    acc = RAT_ZERO
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
+
+
+@pytest.mark.parametrize("fc, label", _poly_battery(6))
+def test_battery_sampling_matches_the_horner_reference(fc, label):
+    f = XPoly(fc)
+    for k in range(41):
+        got = f.eval(k, 0)
+        assert type(got) is Rational
+        assert got == _f_eval_reference(fc, k), (label, k)
 
 
 def test_reproducible():

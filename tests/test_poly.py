@@ -18,7 +18,6 @@ from degenpoly.poly import (
     XPoly,
     LambdaPoly,
     lambda_falling,
-    lambda_substitute,
 )
 from degenpoly.ratfunc import RationalFn
 from degenpoly.series import LAMBDA_RING, Series
@@ -131,17 +130,13 @@ def test_lambda_falling_values():
 
 
 def test_lambda_substitute():
+    # λ -> c through eval_lambda (x kept) and eval; λ -> fλ through scale_lambda
     p = X * X * LambdaPoly([0, 1]) + X  # λx^2 + x
-    assert lambda_substitute(p, value=0) == X
-    assert lambda_substitute(p, value=1) == X * X + X
-    assert lambda_substitute(p, scale=Rational(1, 2)) == X * X * LambdaPoly([0, Rational(1, 2)]) + X
+    assert p.eval_lambda(0) == X
+    assert p.eval_lambda(1) == X * X + X
     q = LambdaPoly([1, 2, 4])
-    assert lambda_substitute(q, scale=Rational(1, 2)) == LambdaPoly([1, 1, 1])
-    assert lambda_substitute(q, value=Rational(1, 2)) == LambdaPoly([3])
-    with pytest.raises(ValueError):
-        lambda_substitute(q)
-    with pytest.raises(ValueError):
-        lambda_substitute(q, value=0, scale=1)
+    assert q.scale_lambda(Rational(1, 2)) == LambdaPoly([1, 1, 1])
+    assert q.eval(Rational(1, 2)) == 3
 
 
 def test_constant_value_guard():
