@@ -28,7 +28,6 @@ from .series import (
 from .ratfunc import PoleError, RationalFn, gamma_moment, substitute_mobius
 from .families import (
     STIRLING_KINDS,
-    TriangularTable,
     bell_deg,
     bell_partial_deg,
     bell_poly,
@@ -75,7 +74,6 @@ __all__ = [
     "substitute_mobius",
     "gamma_moment",
     "STIRLING_KINDS",
-    "TriangularTable",
     "stirling",
     "triangular_table",
     "falling_factorial",

@@ -128,12 +128,25 @@ def _to_text(v, latex=False) -> str:
         return LambdaPoly.const(v).latex() if latex else str(v)
     if isinstance(v, tuple):
         num, den = v
+        if den == 1:
+            return _to_text(num, latex)
         if latex:
             return f"\\frac{{{num.latex()}}}{{{den.latex()}}}"
-        if den == 1:
-            return str(num)
         return f"({num}) / ({den})"
     return v.latex() if latex else v.text()
+
+
+def _rendered(render, *args) -> str:
+    # str() of an int past the int-string limit is the one ValueError that
+    # rendering a computed value raises; name the limit and its cause
+    try:
+        return render(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a number in the result exceeds {limit} digits, the int-string limit "
+            "(sys.get_int_max_str_digits()); --x or --lambda is too large"
+        ) from None
 
 
 def _to_json_value(v):
@@ -175,8 +188,13 @@ def _cmd_table(args) -> int:
             rows += [{"n": n, "k": k, "value": _member(args, n, k)} for k in range(n + 1)]
         else:
             rows.append({"n": n, "value": _member(args, n)})
-    header = list(rows[0])
+    _write(_rendered(_table_text, args, rows), args.output)
+    return 0
 
+
+def _table_text(args, rows) -> str:
+    family = args.family
+    header = list(rows[0])
     if args.format == "json":
         payload = {
             "family": family,
@@ -189,8 +207,8 @@ def _cmd_table(args) -> int:
         }
         if family == "geom_r":
             payload["r"] = _geom_r_order(args)
-        _write(json.dumps(payload, indent=2), args.output)
-    elif args.format == "latex":
+        return json.dumps(payload, indent=2)
+    if args.format == "latex":
         lines = ["\\begin{tabular}{" + "r" * (len(header) - 1) + "l}"]
         lines.append(" & ".join(header) + " \\\\")
         lines.append("\\hline")
@@ -199,24 +217,22 @@ def _cmd_table(args) -> int:
             cells.append(_to_text(row["value"], latex=True))
             lines.append(" & ".join(cells) + " \\\\")
         lines.append("\\end{tabular}")
-        _write("\n".join(lines), args.output)
-    else:
-        import io
+        return "\n".join(lines)
+    import io
 
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        for row in rows:
-            cells = [row[k] for k in header if k != "value"]
-            cells.append(_to_text(row["value"]))
-            w.writerow(cells)
-        _write(buf.getvalue(), args.output)
-    return 0
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        cells = [row[k] for k in header if k != "value"]
+        cells.append(_to_text(row["value"]))
+        w.writerow(cells)
+    return buf.getvalue()
 
 
 def _cmd_eval(args) -> int:
     _row_bound("n", args.n)
-    _write(_to_text(_member(args, args.n, args.k)), args.output)
+    _write(_rendered(_to_text, _member(args, args.n, args.k)), args.output)
     return 0
 
 

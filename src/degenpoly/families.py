@@ -18,7 +18,8 @@ in index order under one module lock, so concurrent readers are safe:
 - both falling bases, (x)_n and (x)_{n,λ};
 - the unit falling products (1)_{n,λ}, the weights of ``bell_deg`` and
   the coefficients of the deformed exponential;
-- the rows of the four tables;
+- the rows of the four tables, which ``triangular_table`` returns as they
+  are, a tuple of rows;
 - the t-coefficients (1)_{k+1,λ}/(k+1)! of (e_λ(t) - 1)/t and both
   Bernoulli sequences;
 - the Eulerian polynomials.
@@ -33,8 +34,6 @@ import functools
 import threading
 from math import comb, factorial
 
-from dataclasses import dataclass
-
 from .rational import RAT_ONE, Rational
 from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly
 from .series import LAMBDA_RING, RATIONAL_RING, XPOLY_RING, Series
@@ -42,7 +41,6 @@ from .ratfunc import RationalFn, substitute_mobius
 
 __all__ = [
     "STIRLING_KINDS",
-    "TriangularTable",
     "falling_factorial",
     "falling_factorial_lambda",
     "stirling",
@@ -156,25 +154,10 @@ def stirling(kind: str, n: int, k: int) -> LambdaPoly:
     return _TABLE[kind](n)[k]
 
 
-@dataclass(frozen=True)
-class TriangularTable:
-    """All rows 0..n_max of one change-of-basis table."""
-
-    kind: str
-    n_max: int
-    rows: tuple[tuple[LambdaPoly, ...], ...]
-
-    def entry(self, n: int, k: int) -> LambdaPoly:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"row {n} outside table (n_max={self.n_max})")
-        if k < 0:
-            raise IndexError("column must be nonnegative")
-        return self.rows[n][k] if k <= n else LP_ZERO
-
-
-def triangular_table(kind: str, n_max: int) -> TriangularTable:
+def triangular_table(kind: str, n_max: int) -> tuple[tuple[LambdaPoly, ...], ...]:
+    """Rows 0..n_max of one change-of-basis table; row n holds entries (n, 0..n)."""
     stirling(kind, n_max, 0)  # checks the arguments and builds rows 0..n_max
-    return TriangularTable(kind, n_max, tuple(map(_TABLE[kind], range(n_max + 1))))
+    return tuple(map(_TABLE[kind], range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +285,9 @@ def eulerian_poly(m: int) -> XPoly:
 # generating series (plain coefficients; the n! bookkeeping is the caller's)
 
 
-def exp_series(order: int, var: str = "t") -> Series:
+def exp_series(order: int) -> Series:
     """exp(t): coefficients 1/n!."""
-    return Series(var, order, [Rational(1, factorial(n)) for n in range(order + 1)], RATIONAL_RING)
+    return Series("t", order, [Rational(1, factorial(n)) for n in range(order + 1)], RATIONAL_RING)
 
 
 def e_lambda_series(order: int, var: str = "t") -> Series:
@@ -317,16 +300,16 @@ def e_lambda_series(order: int, var: str = "t") -> Series:
     )
 
 
-def geom_series(order: int, var: str = "x") -> Series:
+def geom_series(order: int) -> Series:
     """1/(1-x): all coefficients 1."""
-    return Series(var, order, [RAT_ONE] * (order + 1), RATIONAL_RING)
+    return Series("x", order, [RAT_ONE] * (order + 1), RATIONAL_RING)
 
 
-def binom_series(r: int, order: int, var: str = "x") -> Series:
+def binom_series(r: int, order: int) -> Series:
     """(1-x)^(-r): coefficients C(r+k-1, k)."""
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
-    return Series(var, order, [comb(r + k - 1, k) for k in range(order + 1)], RATIONAL_RING)
+    return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], RATIONAL_RING)
 
 
 def _x_times_minus_one(e: Series) -> Series:

@@ -144,7 +144,7 @@ class _Exact:
         return acc
 
     def latex(self) -> str:
-        return self.text("\\lambda", latex=True)
+        return self.text(latex=True)
 
     def __str__(self):
         return self.text()
@@ -318,9 +318,9 @@ class LambdaPoly(_Exact):
             terms.append((neg, body))
         return terms
 
-    def text(self, sym: str = "λ", latex: bool = False) -> str:
+    def text(self, latex: bool = False) -> str:
         """Canonical rendering: increasing degree, p/q rationals, explicit ^."""
-        return _join_terms(self._terms(sym, latex))
+        return _join_terms(self._terms("\\lambda" if latex else "λ", latex))
 
 
 LP_ZERO = LambdaPoly._new([])
@@ -443,19 +443,20 @@ class XPoly(_Exact):
             return hash(self.coeffs[0]) if self.coeffs else hash(LP_ZERO)
         return hash(("XPoly", self.coeffs))
 
-    def text(self, lam_sym: str = "λ", x_sym: str = "x", latex: bool = False) -> str:
+    def text(self, latex: bool = False) -> str:
+        lam = "\\lambda" if latex else "λ"
         terms = []
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
-            xpart = _format_power(x_sym, k, latex)
+            xpart = _format_power("x", k, latex)
             if len([q for q in c.num if q]) == 1:
                 # single monomial in λ: fold signs and the trivial factor 1
-                terms.extend(c._terms(lam_sym, latex, xpart))
+                terms.extend(c._terms(lam, latex, xpart))
             elif k == 0:
-                terms.extend(c._terms(lam_sym, latex))
+                terms.extend(c._terms(lam, latex))
             else:
-                terms.append((False, f"({c.text(lam_sym, latex)}){xpart}"))
+                terms.append((False, f"({_join_terms(c._terms(lam, latex))}){xpart}"))
         return _join_terms(terms)
 
 

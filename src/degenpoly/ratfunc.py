@@ -108,13 +108,13 @@ class RationalFn(_Exact):
             return RationalFn(top, bot * _binomial_power(s, dn - dd))
         return RationalFn(top * _binomial_power(s, dd - dn), bot)
 
-    def text(self, lam_sym: str = "λ", x_sym: str = "x", latex: bool = False) -> str:
-        num = self.num.text(lam_sym, x_sym, latex)
-        den = self.den.text(lam_sym, x_sym, latex)
-        if latex:
-            return f"\\frac{{{num}}}{{{den}}}"
+    def text(self, latex: bool = False) -> str:
+        num = self.num.text(latex)
         if self.den == XP_ONE:
             return num
+        den = self.den.text(latex)
+        if latex:
+            return f"\\frac{{{num}}}{{{den}}}"
         return f"({num}) / ({den})"
 
 

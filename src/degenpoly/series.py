@@ -9,18 +9,15 @@ this module.
 
 Truncation discipline: a binary operation never manufactures precision,
 so the result order is min(order_a, order_b).  Binary operations also
-insist on an identical variable tag and an identical coefficient ring;
-use promote() to embed a series into a larger ring first.  truncate()
-only shortens.
+insist on an identical variable tag and an identical coefficient ring.
+truncate() only shortens.
 
 A unit is a nonzero λ-free rational constant, in whichever ring it is
 held.  reciprocal() needs a unit constant term, and ratfunc asks the
 same of the constant term of a denominator.
 
 Kernel rule: each coefficient of a product, reciprocal, exp or compose
-is one ring dot, as poly's sum-of-products rule says.  compose builds
-the powers of the inner series only up to the outer series' last
-nonzero coefficient.
+is one ring dot, as poly's sum-of-products rule says.
 """
 
 from __future__ import annotations
@@ -143,17 +140,7 @@ class Series:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
         if self.ring is not other.ring:
-            raise ValueError(
-                f"ring mismatch: {self.ring.name} vs {other.ring.name}; promote() first"
-            )
-
-    def promote(self, ring: CoefficientRing) -> "Series":
-        """Embed into a ring at least as large (rationals ⊂ λ-polys ⊂ x-polys)."""
-        if ring is self.ring:
-            return self
-        if ring.rank < self.ring.rank:
-            raise ValueError(f"cannot demote {self.ring.name} series to {ring.name}")
-        return Series(self.var, self.order, self.coeffs, ring)
+            raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
 
     def truncate(self, order: int) -> "Series":
         if order < 0:
@@ -242,18 +229,14 @@ class Series:
         ring = inner.ring
         n = min(self.order, inner.order)
         inner_t = inner.truncate(n)
-        # powers past the outer series' last nonzero coefficient go unread;
         # cols[idx] collects the pairs (c_k, [v^idx] inner^k) of one dot
-        top = max((k for k in range(n + 1) if self.coeffs[k]), default=0)
         cols = [[] for _ in range(n + 1)]
         pw = Series.one(inner.var, n, ring)
-        for k in range(1, top + 1):
+        for k in range(1, n + 1):
             pw = pw * inner_t
-            ck = self.coeffs[k]
-            if ck:
-                c = ring.coerce(ck)
-                for idx in range(k, n + 1):
-                    cols[idx].append((c, pw.coeffs[idx]))
+            c = ring.coerce(self.coeffs[k])
+            for idx in range(k, n + 1):
+                cols[idx].append((c, pw.coeffs[idx]))
         out = [ring.coerce(self.coeffs[0])] + [ring._dot(col) for col in cols[1:]]
         return Series._raw(inner.var, n, tuple(out), ring)
 
@@ -278,16 +261,6 @@ class Series:
             raise ValueError("cannot differentiate an order-0 truncation")
         out = tuple((i + 1) * self.coeffs[i + 1] for i in range(self.order))
         return Series._raw(self.var, self.order - 1, out, self.ring)
-
-    def shift_up(self, k: int) -> "Series":
-        """Multiply by var^k; a valuation shift, so the order grows by k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if k == 0:
-            return self
-        return Series._raw(
-            self.var, self.order + k, (self.ring.zero,) * k + self.coeffs, self.ring
-        )
 
     def diag(self, weight: Callable[[int], object], ring: CoefficientRing | None = None) -> "Series":
         """Replace coefficient c_k by weight(k) * c_k.

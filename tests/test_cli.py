@@ -203,10 +203,10 @@ def test_x_only_eval_over_one_prints_its_numerator(capsys):
     assert code == 0 and out == "1\n"
 
 
-def test_x_only_value_over_one_keeps_both_parts_in_latex_and_json(capsys):
+def test_x_only_value_over_one_drops_the_unit_in_latex_and_keeps_it_in_json(capsys):
     argv = ("table", "--family", "bel_second", "--n", "0", "--x", "1")
     code, out, _ = run_cli(capsys, *argv, "--format", "latex")
-    assert code == 0 and "0 & \\frac{1}{1} \\\\\n" in out
+    assert code == 0 and "0 & 1 \\\\\n" in out
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"] == [{"n": 0, "value": {"num": ["1"], "den": ["1"]}}]
@@ -329,10 +329,39 @@ def test_decimal_numerals_past_the_digit_limit_are_refused(capsys, option, value
 
 
 def test_decimal_numerals_within_the_digit_limit_are_accepted(capsys):
-    # 10^4299 has 4300 digits, as does the denominator of 1e-4299
-    for value, want in (("1e4299", 10**4299), ("1e-4299", Fraction(1, 10**4299))):
-        code, out, _ = run_cli(capsys, "eval", "--family", "falling", "--n", "1", f"--x={value}")
+    # 10^4299 has 4300 digits, as does the denominator of 1e-4299; a
+    # result at the limit still prints
+    for family, value, want in (("falling", "1e4299", 10**4299),
+                                ("falling", "1e-4299", Fraction(1, 10**4299)),
+                                ("bell", "1e4299", 10**4299)):
+        code, out, _ = run_cli(capsys, "eval", "--family", family, "--n", "1", f"--x={value}")
         assert code == 0 and Fraction(out.strip()) == want
+
+
+@pytest.mark.parametrize("argv, cell", [
+    (("--n", "0"), "0 & 1"),
+    (("--n", "2", "--lambda=0"), "2 & x + x^{2}"),
+])
+def test_latex_drops_a_unit_denominator_as_csv_does(capsys, argv, cell):
+    code, out, _ = run_cli(capsys, "table", "--family", "bel_second", *argv, "--format", "latex")
+    assert code == 0 and f"\n{cell} \\\\\n" in out and "frac" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "bell", "--n", "2", "--x", "1e4299"),
+    ("table", "--family", "bell", "--n", "2", "--x", "1e4299", "--format", "json"),
+    ("table", "--family", "bell", "--n", "2", "--x", "1e4299", "--format", "csv"),
+    ("table", "--family", "bell", "--n", "2", "--x", "1e4299", "--format", "latex"),
+    ("eval", "--family", "bell_deg", "--n", "3", "--lambda", "1e4299"),
+])
+def test_a_result_past_the_digit_limit_names_the_limit_and_the_options(capsys, argv):
+    # each input is within the int-string limit, but the result has a
+    # number of about twice as many digits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == (f"error: a number in the result exceeds {limit} digits, the int-string "
+                   "limit (sys.get_int_max_str_digits()); --x or --lambda is too large\n")
 
 
 def test_calls_share_one_parser(capsys):

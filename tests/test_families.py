@@ -165,15 +165,18 @@ def test_every_family_refuses_a_negative_index(family):
 
 def test_triangular_table():
     t = triangular_table("S2", 5)
-    assert t.kind == "S2" and t.n_max == 5
-    assert len(t.rows) == 6
-    assert t.entry(4, 2) == 7
-    assert t.entry(3, 5) == LP_ZERO
-    with pytest.raises(IndexError):
-        t.entry(6, 0)
-    with pytest.raises(IndexError):
-        t.entry(2, -1)
+    assert len(t) == 6
+    assert t[4][2] == 7
     assert set(STIRLING_KINDS) == {"S1", "S2", "S1deg", "S2deg"}
+
+
+@pytest.mark.parametrize("kind", STIRLING_KINDS)
+def test_triangular_table_rows_are_the_table_entries(kind):
+    for n in range(13):
+        rows = triangular_table(kind, n)
+        assert len(rows) == n + 1
+        for k in range(n + 1):
+            assert rows[n][k] == stirling(kind, n, k)
 
 
 def test_table_cache_is_thread_safe():

@@ -55,9 +55,7 @@ def test_mate_checks():
         t + x
     with pytest.raises(ValueError):
         t * lam
-    assert t.promote(LAMBDA_RING) + lam == lam.scaled(2)
-    with pytest.raises(ValueError):
-        lam.promote(RATIONAL_RING)
+    assert Series(t.var, t.order, t.coeffs, LAMBDA_RING) + lam == lam.scaled(2)
 
 
 def test_scaled_refuses_a_factor_outside_the_ring():
@@ -101,7 +99,7 @@ def test_subtraction_is_negation_then_addition():
 def test_geometric_reciprocal():
     one_minus_t = Series("t", 8, [1, -1], RATIONAL_RING)
     assert one_minus_t.reciprocal().coeffs == (1,) * 9
-    assert geom_series(8, "t") == one_minus_t.reciprocal()
+    assert geom_series(8).coeffs == one_minus_t.reciprocal().coeffs
 
 
 def test_exp_reciprocal_alternates():
@@ -147,11 +145,9 @@ def test_e_lambda_derivative_identity():
         assert d.coeff(n) == expected
 
 
-def test_derivative_and_shift():
+def test_derivative():
     s = Series("t", 3, [5, 1, 2, 7], RATIONAL_RING)
     assert s.derivative().coeffs == (1, 4, 21)
-    assert s.shift_up(2).coeffs == (0, 0, 5, 1, 2, 7)
-    assert s.shift_up(2).order == 5
     with pytest.raises(ValueError):
         Series("t", 0, [1], RATIONAL_RING).derivative()
 
@@ -184,7 +180,7 @@ def test_a_unit_is_a_nonzero_lambda_free_rational(ring, head):
 
 
 def test_diag_weight_promotes():
-    s = geom_series(5, "x")
+    s = geom_series(5)
     w = diag_weight(s, 2)
     assert w.ring is LAMBDA_RING
     for k in range(6):
@@ -197,7 +193,7 @@ def test_first_mismatch():
     b = Series("t", 3, [1, 2, 4], RATIONAL_RING)
     assert first_mismatch(a, b) == (2, 3, 4)
     assert first_mismatch(a, a.truncate(2)) is None
-    lam = a.promote(LAMBDA_RING)
+    lam = Series(a.var, a.order, a.coeffs, LAMBDA_RING)
     assert first_mismatch(a, lam) is None  # cross-ring comparison by value
     with pytest.raises(ValueError):
         first_mismatch(a, Series("x", 3, [1], RATIONAL_RING))
