@@ -74,14 +74,52 @@ def _rat_or_sym(text: str):
         raise argparse.ArgumentTypeError(f"expected a rational p/q or 'sym', got {text!r}")
 
 
+def _digit_limit_error() -> ValueError:
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"a number in the result exceeds {limit} digits, the int-string limit "
+                      "(sys.get_int_max_str_digits()); --x or --lambda is too large")
+
+
+def _refuse_past_the_limit(value, lam, x):
+    # The one given value v of lam and x renders in full a part q of each
+    # polynomial p: the x-coefficient of top λ-degree, or the λ^j-coefficient
+    # across the powers of x, j the λ-degree of the top x-coefficient.  Of
+    # degree d in v's variable, with integer numerators a_i over den: if |v| >= 1
+    # and |a_d v| >= 2 sum_{i<d} |a_i|, the lower terms are at most half the top
+    # one, so q(v) in lowest terms has a numerator of at least |v|^d / (2 den)
+    # > 2^(bits - den bits), and 10^limit < 2^(limit*10//3 + 1).
+    limit, v = sys.get_int_max_str_digits(), x if lam is None else lam
+    if not limit or v is None:
+        return
+    num, den, top = abs(v.numerator), v.denominator, limit * 10 // 3
+    for p in [value.num, value.den] if isinstance(value, RationalFn) else [XPoly.coerce(value)]:
+        d = p.degree if lam is None else p.lambda_degree
+        bits = d * (num.bit_length() - 1 - den.bit_length()) - 1
+        if bits <= top:  # among others, every |v| < 2
+            continue
+        q = (LambdaPoly(c.coeff(p.coeffs[-1].degree) for c in p.coeffs) if lam is None
+             else max(p.coeffs, key=lambda c: c.degree))
+        a = q.num
+        if bits - q.den.bit_length() > top and abs(a[-1]) * num >= 2 * sum(map(abs, a[:-1])) * den:
+            raise _digit_limit_error()
+
+
 def _specialise(value, lam, x):
-    """Substitute the requested rational values into a family member."""
+    """Substitute the requested rational values into a family member.
+
+    A substitution of one value is refused first when a number in the
+    rendered result provably exceeds the int-string limit.
+    """
     if isinstance(value, LambdaPoly):
-        return value.eval(lam) if lam is not None else value
+        if lam is None:
+            return value
+        _refuse_past_the_limit(value, lam, None)
+        return value.eval(lam)
     # every other family member is an XPoly or a RationalFn; both
     # evaluate at rational x and λ in one pass
     if lam is not None and x is not None:
         return value.eval(x, lam)
+    _refuse_past_the_limit(value, lam, x)
     if isinstance(value, XPoly):
         if lam is not None:
             return value.eval_lambda(lam)
@@ -142,11 +180,7 @@ def _rendered(render, *args) -> str:
     try:
         return render(*args)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"a number in the result exceeds {limit} digits, the int-string limit "
-            "(sys.get_int_max_str_digits()); --x or --lambda is too large"
-        ) from None
+        raise _digit_limit_error() from None
 
 
 def _to_json_value(v):

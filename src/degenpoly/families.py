@@ -36,7 +36,7 @@ from math import comb, factorial
 
 from .rational import RAT_ONE, Rational
 from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly
-from .series import LAMBDA_RING, RATIONAL_RING, XPOLY_RING, Series
+from .series import LAMBDA_RING, XPOLY_RING, Series
 from .ratfunc import RationalFn, substitute_mobius
 
 __all__ = [
@@ -287,7 +287,7 @@ def eulerian_poly(m: int) -> XPoly:
 
 def exp_series(order: int) -> Series:
     """exp(t): coefficients 1/n!."""
-    return Series("t", order, [Rational(1, factorial(n)) for n in range(order + 1)], RATIONAL_RING)
+    return Series("t", order, [Rational(1, factorial(n)) for n in range(order + 1)], LAMBDA_RING)
 
 
 def e_lambda_series(order: int, var: str = "t") -> Series:
@@ -302,14 +302,14 @@ def e_lambda_series(order: int, var: str = "t") -> Series:
 
 def geom_series(order: int) -> Series:
     """1/(1-x): all coefficients 1."""
-    return Series("x", order, [RAT_ONE] * (order + 1), RATIONAL_RING)
+    return Series("x", order, [1] * (order + 1), LAMBDA_RING)
 
 
 def binom_series(r: int, order: int) -> Series:
     """(1-x)^(-r): coefficients C(r+k-1, k)."""
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
-    return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], RATIONAL_RING)
+    return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], LAMBDA_RING)
 
 
 def _x_times_minus_one(e: Series) -> Series:

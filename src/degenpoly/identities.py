@@ -36,7 +36,7 @@ from .poly import (
     XPoly,
     lambda_falling,
 )
-from .series import LAMBDA_RING, RATIONAL_RING, XPOLY_RING, Series, diag_weight, first_mismatch
+from .series import LAMBDA_RING, XPOLY_RING, Series, diag_weight, first_mismatch
 from .ratfunc import RationalFn, gamma_moment, substitute_mobius
 from .render import value_to_json
 from . import families as fam
@@ -399,9 +399,7 @@ def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
     match the S1-weighted higher-order geometric closed form"""
     for r in range(1, r_max + 1):
         shift = 0 if perturbed else 1
-        bs = Series(
-            "x", order, [comb(r + k - shift, k) for k in range(order + 1)], RATIONAL_RING
-        )
+        bs = Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LAMBDA_RING)
         for m in range(m_max + 1):
             lhs = diag_weight(bs, m)
             num = _s1_mobius_numerator(m, lambda l: fam.geometric_r(l, r))

@@ -23,10 +23,10 @@ once for all three types, so mixed arithmetic such as ``2 * p - q / 3``
 works in any combination.
 
 Sum-of-products rule: a product, and any sum of products, is one ring
-dot.  ``_rational_dot``, ``_lambda_dot`` and ``_xpoly_dot`` (at the end
-of this module) each sum a*b over an iterable of (a, b) pairs in a
-single accumulator and normalise once; series coefficients, weighted
-table sums and the identity checks all sum through them.
+dot.  ``_lambda_dot`` and ``_xpoly_dot`` (at the end of this module)
+each sum a*b over an iterable of (a, b) pairs in a single accumulator
+and normalise once; series coefficients, weighted table sums and the
+identity checks all sum through them.
 ``XPoly.__mul__`` is the one-pair x-ring dot, so the x-convolution is
 written once, in ``_xpoly_dot``.  ``LambdaPoly.__mul__`` stays a direct
 integer loop: a one-pair ``_lambda_dot`` is 9-15% slower per product on
@@ -467,29 +467,7 @@ X = XPoly._raw((LP_ZERO, LP_ONE))
 
 # Dot-product kernels, one per coefficient ring (the sum-of-products rule
 # in the module docstring).  A pair with a zero factor is skipped.  The
-# rational and λ kernels keep integer numerators over a running common
-# denominator.
-
-
-def _rebase(acc: list, den: int, d: int):
-    # the running-denominator step: acc (integer numerators over den) and
-    # the factor lifting a term over d, both over lcm(den, d)
-    g = gcd(den, d)
-    if g != d:
-        up = d // g
-        acc = [c * up for c in acc]
-    return acc, den // g * d, den // g
-
-
-def _rational_dot(pairs) -> Rational:
-    acc, den = [0], 1
-    for a, b in pairs:
-        if a and b:
-            s, d = 1, a.denominator * b.denominator
-            if d != den:
-                acc, den, s = _rebase(acc, den, d)
-            acc[0] += a.numerator * b.numerator * s
-    return Rational(acc[0], den)
+# λ kernel keeps integer numerators over a running common denominator.
 
 
 def _lambda_dot(pairs) -> LambdaPoly:
@@ -500,7 +478,11 @@ def _lambda_dot(pairs) -> LambdaPoly:
             continue
         s, d = 1, a.den * b.den
         if d != den:
-            acc, den, s = _rebase(acc, den, d)
+            # lift acc (over den) and this term (over d) to lcm(den, d)
+            g = gcd(den, d)
+            if g != d:
+                acc = [c * (d // g) for c in acc]
+            den, s = den // g * d, den // g
         top = len(an) + len(bn) - 1
         if len(acc) < top:
             acc.extend([0] * (top - len(acc)))

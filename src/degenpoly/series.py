@@ -2,7 +2,8 @@
 
 A Series is a finite prefix c_0 + c_1 v + ... + c_N v^N of a formal
 power series in the variable named by ``var``, with coefficients in
-one of three rings: plain rationals, LambdaPoly, or XPoly.  The stored
+one of two rings: LambdaPoly or XPoly.  A series with rational
+coefficients is a λ-free series over LambdaPoly.  The stored
 coefficients are the plain series coefficients; any factorial
 normalisation belongs to whoever builds or reads the series, not to
 this module.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
+from .rational import RAT_ONE, Rational
 from .poly import (
     LP_ONE,
     LP_ZERO,
@@ -33,7 +34,6 @@ from .poly import (
     LambdaPoly,
     XPoly,
     _lambda_dot,
-    _rational_dot,
     _xpoly_dot,
     lambda_falling,
 )
@@ -41,7 +41,6 @@ from .poly import (
 __all__ = [
     "Series",
     "CoefficientRing",
-    "RATIONAL_RING",
     "LAMBDA_RING",
     "XPOLY_RING",
     "NonInvertibleError",
@@ -70,11 +69,10 @@ class CoefficientRing:
     elements, summed in one accumulator and normalised once.
     """
 
-    __slots__ = ("name", "rank", "zero", "one", "coerce", "_dot")
+    __slots__ = ("name", "zero", "one", "coerce", "_dot")
 
-    def __init__(self, name, rank, zero, one, coerce, dot):
+    def __init__(self, name, zero, one, coerce, dot):
         self.name = name
-        self.rank = rank
         self.zero = zero
         self.one = one
         self.coerce = coerce
@@ -88,17 +86,8 @@ class CoefficientRing:
         return f"<ring {self.name}>"
 
 
-def _coerce_rational(v):
-    if is_scalar(v):
-        return as_rational(v)
-    if isinstance(v, LambdaPoly) and v.is_constant:
-        return v.constant_value()
-    raise TypeError(f"not a rational coefficient: {v!r}")
-
-
-RATIONAL_RING = CoefficientRing("rational", 0, RAT_ZERO, RAT_ONE, _coerce_rational, _rational_dot)
-LAMBDA_RING = CoefficientRing("lambda", 1, LP_ZERO, LP_ONE, LambdaPoly.coerce, _lambda_dot)
-XPOLY_RING = CoefficientRing("xpoly", 2, XP_ZERO, XP_ONE, XPoly.coerce, _xpoly_dot)
+LAMBDA_RING = CoefficientRing("lambda", LP_ZERO, LP_ONE, LambdaPoly.coerce, _lambda_dot)
+XPOLY_RING = CoefficientRing("xpoly", XP_ZERO, XP_ONE, XPoly.coerce, _xpoly_dot)
 
 
 class Series:
@@ -217,12 +206,13 @@ class Series:
         """Substitute inner for this series' variable.
 
         The inner series must have zero constant term, and the outer
-        coefficients must embed into the inner ring.  The result lives
-        in the inner ring and variable, at order min of the two.
+        coefficients must embed into the inner ring: an x-ring outer
+        needs an x-ring inner.  The result lives in the inner ring and
+        variable, at order min of the two.
         """
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
-        if self.ring.rank > inner.ring.rank:
+        if self.ring is XPOLY_RING and inner.ring is not XPOLY_RING:
             raise ValueError(
                 f"outer ring {self.ring.name} does not embed into {inner.ring.name}"
             )
@@ -262,18 +252,11 @@ class Series:
         out = tuple((i + 1) * self.coeffs[i + 1] for i in range(self.order))
         return Series._raw(self.var, self.order - 1, out, self.ring)
 
-    def diag(self, weight: Callable[[int], object], ring: CoefficientRing | None = None) -> "Series":
-        """Replace coefficient c_k by weight(k) * c_k.
-
-        Pass ring= when the weights land outside the current ring, e.g.
-        λ-dependent weights applied to a rational series.
-        """
-        target = ring or self.ring
-        vals = []
-        for k, c in enumerate(self.coeffs):
-            w = weight(k)
-            vals.append(target.coerce(w * target.coerce(c) if c else target.zero))
-        return Series._raw(self.var, self.order, tuple(vals), target)
+    def diag(self, weight: Callable[[int], object]) -> "Series":
+        """Replace coefficient c_k by weight(k) * c_k; the weights must embed into the ring."""
+        ring = self.ring
+        vals = tuple(ring.coerce(weight(k) * c) if c else ring.zero for k, c in enumerate(self.coeffs))
+        return Series._raw(self.var, self.order, vals, ring)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -305,8 +288,7 @@ def diag_weight(s: Series, m: int) -> Series:
     """
     if m < 0:
         raise ValueError("operator power must be nonnegative")
-    ring = s.ring if s.ring.rank >= LAMBDA_RING.rank else LAMBDA_RING
-    return s.diag(lambda k: lambda_falling(k, m), ring=ring)
+    return s.diag(lambda k: lambda_falling(k, m))
 
 
 def first_mismatch(a: Series, b: Series):

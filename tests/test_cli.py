@@ -11,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import degenpoly
-from degenpoly.cli import _build_parser, main
+from degenpoly.cli import _build_parser, _refuse_past_the_limit, main
 from degenpoly.poly import LAM, X, XP_ONE, LambdaPoly, XPoly
 from degenpoly.ratfunc import RationalFn
 from degenpoly.render import value_from_json, value_to_json
@@ -362,6 +364,68 @@ def test_a_result_past_the_digit_limit_names_the_limit_and_the_options(capsys, a
     limit = sys.get_int_max_str_digits()
     assert err == (f"error: a number in the result exceeds {limit} digits, the int-string "
                    "limit (sys.get_int_max_str_digits()); --x or --lambda is too large\n")
+
+
+DIGIT_LIMIT_ERROR = ("error: a number in the result exceeds {} digits, the int-string limit "
+                     "(sys.get_int_max_str_digits()); --x or --lambda is too large\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "bell_deg", "--n", "80", "--lambda", "1e4299"),
+    ("eval", "--family", "bell_deg", "--n", "40", "--x", "1e4299"),
+    ("eval", "--family", "bel_second", "--n", "40", "--lambda=-1e4299"),
+    ("eval", "--family", "bel_second", "--n", "40", "--x", f"{10**4299}/7"),
+    ("eval", "--family", "stirling2_deg", "--n", "40", "--k", "1", "--lambda", "1e4299"),
+    ("table", "--family", "bell_deg", "--n", "80", "--lambda", "1e4299", "--format", "json"),
+])
+def test_a_result_provably_past_the_digit_limit_is_refused_before_it_is_computed(
+        capsys, monkeypatch, argv):
+    def evaluated(*_):
+        raise AssertionError("evaluated before the digit limit was checked")
+
+    for cls, name in ((LambdaPoly, "eval"), (XPoly, "eval_x"), (XPoly, "eval_lambda")):
+        monkeypatch.setattr(cls, name, evaluated)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == DIGIT_LIMIT_ERROR.format(sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "bell", "--n", "2", "--x", "1e-4299"),
+    ("eval", "--family", "bell", "--n", "2", "--x", "1e4299", "--lambda", "1"),
+])
+def test_a_result_past_the_digit_limit_without_a_bound_is_refused_when_rendered(capsys, argv):
+    # the early bound covers one substituted value of absolute value at least 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == DIGIT_LIMIT_ERROR.format(sys.get_int_max_str_digits())
+
+
+# ±(10^k + j): magnitudes from one digit to past the 640-digit limit below
+powers_of_ten = st.builds(lambda k, j, neg: (-1) ** neg * (10**k + j),
+                          st.integers(0, 700), st.integers(0, 10**6), st.booleans())
+
+
+@given(st.lists(st.one_of(st.just(Fraction(0)), st.builds(Fraction, powers_of_ten, powers_of_ten.map(abs))),
+                min_size=2, max_size=7),
+       powers_of_ten, st.integers(1, 10**6), st.booleans())
+@example([0, Fraction(1, 10**700)], 10**1000, 1, False)  # p(v) = 10^300: the denominator counts
+@settings(max_examples=200, deadline=None)
+def test_the_early_digit_bound_never_refuses_a_printable_result(coeffs, top, q, root):
+    # whenever the bound refuses, the numerator of p(v) really is too long;
+    # a factor (λ - v) makes p(v) = 0 however large v and the degree are
+    v = Fraction(top, q)
+    p = LambdaPoly(coeffs) * (LambdaPoly([-v, 1]) if root else 1)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        try:
+            _refuse_past_the_limit(p, v, None)
+        except ValueError:
+            with pytest.raises(ValueError):
+                str(p.eval(v))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_calls_share_one_parser(capsys):

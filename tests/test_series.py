@@ -10,7 +10,6 @@ from degenpoly.rational import Rational
 from degenpoly.poly import LAM, X, LambdaPoly, XPoly, lambda_falling
 from degenpoly.series import (
     LAMBDA_RING,
-    RATIONAL_RING,
     XPOLY_RING,
     NonInvertibleError,
     Series,
@@ -21,25 +20,25 @@ from degenpoly.families import e_lambda_series, exp_series, geom_series
 
 rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))
 unit_series = st.builds(
-    lambda head, tail: Series("t", len(tail), [head] + tail, RATIONAL_RING),
+    lambda head, tail: Series("t", len(tail), [head] + tail, LAMBDA_RING),
     st.sampled_from([Rational(1), Rational(-1), Rational(1, 2), Rational(3)]),
     st.lists(rationals, min_size=0, max_size=6),
 )
 
 
 def test_padding_and_coeff_bounds():
-    s = Series("t", 4, [1, 2], RATIONAL_RING)
+    s = Series("t", 4, [1, 2], LAMBDA_RING)
     assert s.coeffs == (1, 2, 0, 0, 0)
     assert s.coeff(4) == 0
     with pytest.raises(IndexError):
         s.coeff(5)
     with pytest.raises(ValueError):
-        Series("t", 1, [1, 2, 3], RATIONAL_RING)
+        Series("t", 1, [1, 2, 3], LAMBDA_RING)
 
 
 def test_truncation_discipline():
-    a = Series("t", 6, [1] * 7, RATIONAL_RING)
-    b = Series("t", 3, [1] * 4, RATIONAL_RING)
+    a = Series("t", 6, [1] * 7, LAMBDA_RING)
+    b = Series("t", 3, [1] * 4, LAMBDA_RING)
     assert (a + b).order == 3
     assert (a * b).order == 3
     assert a.truncate(2).coeffs == (1, 1, 1)
@@ -48,14 +47,14 @@ def test_truncation_discipline():
 
 
 def test_mate_checks():
-    t = Series("t", 3, [1], RATIONAL_RING)
-    x = Series("x", 3, [1], RATIONAL_RING)
-    lam = Series("t", 3, [1], LAMBDA_RING)
+    t = Series("t", 3, [1], LAMBDA_RING)
+    x = Series("x", 3, [1], LAMBDA_RING)
+    xp = Series("t", 3, [1], XPOLY_RING)
     with pytest.raises(ValueError):
         t + x
     with pytest.raises(ValueError):
-        t * lam
-    assert Series(t.var, t.order, t.coeffs, LAMBDA_RING) + lam == lam.scaled(2)
+        t * xp
+    assert Series(t.var, t.order, t.coeffs, XPOLY_RING) + xp == xp.scaled(2)
 
 
 def test_scaled_refuses_a_factor_outside_the_ring():
@@ -76,11 +75,9 @@ def test_subtraction_coerces_through_the_ring_first():
     assert s - s == Series("t", 2, [], LAMBDA_RING)
     with pytest.raises(TypeError, match="unsupported operand type"):
         s - object()
-    # a λ-polynomial does not embed into the rational ring
-    r = Series("t", 2, [1], RATIONAL_RING)
+    # an x-polynomial does not embed into the λ-ring
     with pytest.raises(TypeError, match="unsupported operand type"):
-        r - LAM
-    assert (r - Rational(1, 2)).coeffs == (Rational(1, 2), 0, 0)
+        s - X
 
 
 def test_subtraction_is_negation_then_addition():
@@ -90,14 +87,14 @@ def test_subtraction_is_negation_then_addition():
     assert (LAM - s).coeffs == (LAM - 1, LambdaPoly.const(-2), LambdaPoly())
     xs = Series("x", 2, [X, 1], XPOLY_RING)
     assert (X - xs).coeffs == (XPoly(), XPoly.const(-1), XPoly())
-    a = Series("t", 6, [1] * 7, RATIONAL_RING)
-    b = Series("t", 3, [0, 1, 2, 3], RATIONAL_RING)
-    assert a - b == Series("t", 3, [1, 0, -1, -2], RATIONAL_RING)
+    a = Series("t", 6, [1] * 7, LAMBDA_RING)
+    b = Series("t", 3, [0, 1, 2, 3], LAMBDA_RING)
+    assert a - b == Series("t", 3, [1, 0, -1, -2], LAMBDA_RING)
     assert b - a == -(a - b)
 
 
 def test_geometric_reciprocal():
-    one_minus_t = Series("t", 8, [1, -1], RATIONAL_RING)
+    one_minus_t = Series("t", 8, [1, -1], LAMBDA_RING)
     assert one_minus_t.reciprocal().coeffs == (1,) * 9
     assert geom_series(8).coeffs == one_minus_t.reciprocal().coeffs
 
@@ -112,7 +109,7 @@ def test_exp_reciprocal_alternates():
 
 
 def test_exp_of_t_plus_t_squared():
-    s = Series("t", 4, [0, 1, 1], RATIONAL_RING).exp()
+    s = Series("t", 4, [0, 1, 1], LAMBDA_RING).exp()
     assert s.coeffs == (1, 1, Rational(3, 2), Rational(7, 6), Rational(25, 24))
 
 
@@ -130,11 +127,15 @@ def test_compose_guards():
     with pytest.raises(ValueError):
         outer.compose(outer)  # nonzero constant term
     lam_inner = Series("t", 4, [0, LambdaPoly([0, 1])], LAMBDA_RING)
-    composed = outer.compose(lam_inner)  # rational outer embeds upward
+    composed = outer.compose(lam_inner)
     assert composed.ring is LAMBDA_RING
     assert composed.coeff(2) == LambdaPoly([0, 0, Rational(1, 2)])
+    x_inner = Series("t", 4, [0, X], XPOLY_RING)
+    composed = outer.compose(x_inner)  # a λ-ring outer embeds upward
+    assert composed.ring is XPOLY_RING
+    assert composed.coeff(2) == X * X / 2
     with pytest.raises(ValueError):
-        lam_inner.compose(exp_series(4) - 1)  # would demote coefficients
+        x_inner.compose(lam_inner)  # an x-ring outer does not embed into the λ-ring
 
 
 def test_e_lambda_derivative_identity():
@@ -146,15 +147,15 @@ def test_e_lambda_derivative_identity():
 
 
 def test_derivative():
-    s = Series("t", 3, [5, 1, 2, 7], RATIONAL_RING)
+    s = Series("t", 3, [5, 1, 2, 7], LAMBDA_RING)
     assert s.derivative().coeffs == (1, 4, 21)
     with pytest.raises(ValueError):
-        Series("t", 0, [1], RATIONAL_RING).derivative()
+        Series("t", 0, [1], LAMBDA_RING).derivative()
 
 
 def test_reciprocal_needs_unit():
     with pytest.raises(NonInvertibleError):
-        Series("t", 3, [0, 1], RATIONAL_RING).reciprocal()
+        Series("t", 3, [0, 1], LAMBDA_RING).reciprocal()
     lam_const = Series("t", 3, [LambdaPoly([0, 1])], LAMBDA_RING)
     with pytest.raises(NonInvertibleError):
         lam_const.reciprocal()  # λ is not a unit here
@@ -163,9 +164,9 @@ def test_reciprocal_needs_unit():
 @pytest.mark.parametrize(
     "ring, head",
     [
-        (RATIONAL_RING, 0),
         (LAMBDA_RING, 0),
         (LAMBDA_RING, LAM),
+        (LAMBDA_RING, 1 + LAM),
         (XPOLY_RING, 0),
         (XPOLY_RING, LAM),
         (XPOLY_RING, X),
@@ -179,24 +180,27 @@ def test_a_unit_is_a_nonzero_lambda_free_rational(ring, head):
     assert unit.coeff(0) == Rational(-3, 2) and unit.ring is ring
 
 
-def test_diag_weight_promotes():
-    s = geom_series(5)
-    w = diag_weight(s, 2)
-    assert w.ring is LAMBDA_RING
-    for k in range(6):
-        assert w.coeff(k) == lambda_falling(k, 2)
-    assert diag_weight(s, 0).coeffs == tuple(LambdaPoly.const(1) for _ in range(6))
+@pytest.mark.parametrize("s", [
+    geom_series(5),
+    Series("x", 5, [1, X, LAM, 1 + X, 0, X * LAM], XPOLY_RING),
+], ids=["lambda", "xpoly"])
+def test_diag_weight_keeps_the_series_ring(s):
+    for m in range(4):
+        w = diag_weight(s, m)
+        assert w.ring is s.ring
+        assert w.coeffs == tuple(lambda_falling(k, m) * c for k, c in enumerate(s.coeffs))
+    assert diag_weight(s, 0) == s
 
 
 def test_first_mismatch():
-    a = Series("t", 5, [1, 2, 3], RATIONAL_RING)
-    b = Series("t", 3, [1, 2, 4], RATIONAL_RING)
+    a = Series("t", 5, [1, 2, 3], LAMBDA_RING)
+    b = Series("t", 3, [1, 2, 4], LAMBDA_RING)
     assert first_mismatch(a, b) == (2, 3, 4)
     assert first_mismatch(a, a.truncate(2)) is None
-    lam = Series(a.var, a.order, a.coeffs, LAMBDA_RING)
-    assert first_mismatch(a, lam) is None  # cross-ring comparison by value
+    xp = Series(a.var, a.order, a.coeffs, XPOLY_RING)
+    assert first_mismatch(a, xp) is None  # cross-ring comparison by value
     with pytest.raises(ValueError):
-        first_mismatch(a, Series("x", 3, [1], RATIONAL_RING))
+        first_mismatch(a, Series("x", 3, [1], LAMBDA_RING))
 
 
 @given(unit_series)
@@ -219,7 +223,7 @@ def test_mul_commutes_and_distributes(a, b):
 @given(st.lists(rationals, min_size=1, max_size=5))
 @settings(max_examples=40)
 def test_exp_is_homomorphic(tail):
-    s = Series("t", 6, [0] + tail, RATIONAL_RING)
+    s = Series("t", 6, [0] + tail, LAMBDA_RING)
     two = s + s
     assert two.exp() == s.exp() * s.exp()
 
@@ -240,7 +244,7 @@ def _exp_by_powers(g: Series) -> Series:
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
 def test_exp_matches_power_sum_reference_in_every_ring(order):
     rat = Series("t", order, [0] + [Rational((-1) ** k * k, k + 2) for k in range(1, order + 1)],
-                 RATIONAL_RING)
+                 LAMBDA_RING)
     lam = Series("t", order, [0] + [LambdaPoly([k, -1, Rational(1, k)]) for k in range(1, order + 1)],
                  LAMBDA_RING)
     xp = Series("t", order, [0] + [XPoly([Rational(1, k), LAM, k * LAM * LAM])
@@ -257,12 +261,12 @@ def test_exp_matches_power_sum_reference_in_every_ring(order):
 @given(st.lists(rationals, min_size=1, max_size=12))
 @settings(max_examples=40)
 def test_exp_matches_power_sum_reference_random(tail):
-    g = Series("t", len(tail), [0] + tail, RATIONAL_RING)
+    g = Series("t", len(tail), [0] + tail, LAMBDA_RING)
     assert g.exp() == _exp_by_powers(g)
 
 
 def test_truncate_refuses_a_negative_order():
-    s = Series("t", 3, [1, 2, 3], RATIONAL_RING)
+    s = Series("t", 3, [1, 2, 3], LAMBDA_RING)
     with pytest.raises(ValueError, match="series order must be nonnegative"):
         s.truncate(-1)
     assert s.truncate(0).coeffs == (1,)
@@ -335,26 +339,26 @@ def _compose_reference(outer: Series, inner: Series) -> tuple:
 
 def _fields(v):
     # the stored fields of one coefficient, so equal values must also be
-    # equal representations: num/den of a rational or a λ-polynomial
+    # equal representations: num/den of each λ-polynomial
     if isinstance(v, XPoly):
         return ("xpoly", tuple(_fields(c) for c in v.coeffs))
-    if isinstance(v, LambdaPoly):
-        return ("lambda", v.num, v.den)
-    return ("rational", v.numerator, v.denominator)
+    return ("lambda", v.num, v.den)
 
 
 def _same(coeffs, expected):
     assert [_fields(c) for c in coeffs] == [_fields(c) for c in expected]
 
 
-RINGS = {"rational": RATIONAL_RING, "lambda": LAMBDA_RING, "xpoly": XPOLY_RING}
+# "rational" draws λ-free λ-polynomials, the coefficients of a rational series
+RINGS = {"rational": LAMBDA_RING, "lambda": LAMBDA_RING, "xpoly": XPOLY_RING}
 ORDERS = st.sampled_from([0, 1, 5, 16])
 # zero often, and denominators other than 1, mixed within one polynomial
 sparse_rationals = st.one_of(st.just(Rational(0)), st.builds(Rational, st.integers(-6, 6),
                                                             st.sampled_from([1, 1, 2, 3, 4])))
 lambda_polys = st.builds(LambdaPoly, st.lists(sparse_rationals, max_size=3))
 xpolys = st.builds(XPoly, st.lists(lambda_polys, max_size=3))
-ELEMENTS = {"rational": sparse_rationals, "lambda": lambda_polys, "xpoly": xpolys}
+ELEMENTS = {"rational": st.builds(LambdaPoly.const, sparse_rationals), "lambda": lambda_polys,
+            "xpoly": xpolys}
 
 
 @st.composite
@@ -390,10 +394,8 @@ def test_dot_matches_a_sum_of_products(name, data):
 
 
 def test_dot_rescales_to_a_common_denominator():
-    # pairs over 2, then 3, then 2 again: each needs the running lcm
+    # pairs over 2, then 3, then 4: each needs the running lcm
     half, third = Rational(1, 2), Rational(1, 3)
-    pairs = [(half, Rational(1)), (third, Rational(1)), (half, half)]
-    assert RATIONAL_RING._dot(pairs) == Rational(13, 12)
     lp = [(LambdaPoly([half, 1]), LambdaPoly([1])), (LambdaPoly([third]), LAM),
           (LambdaPoly([0, half]), LambdaPoly([half]))]
     assert _fields(LAMBDA_RING._dot(lp)) == _fields(LambdaPoly([half, Rational(19, 12)]))
@@ -463,5 +465,5 @@ def test_compose_edge_outers_match_the_reference(name, outer_cs):
         inner = inner + Series("t", 16, [0, 0, LAM], ring)
     if name == "xpoly":
         inner = inner + Series("t", 16, [0, X], ring)
-    outer = Series("u", 16, outer_cs, RATIONAL_RING)
+    outer = Series("u", 16, outer_cs, LAMBDA_RING)
     _same(outer.compose(inner).coeffs, _compose_reference(outer, inner))
