@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenpoly import RATIONAL_RING
 from degenpoly.rational import Rational
 from degenpoly.poly import LAM, X, LambdaPoly, XPoly, lambda_falling
 from degenpoly.series import (
@@ -164,13 +165,15 @@ def test_reciprocal_needs_unit():
 @pytest.mark.parametrize(
     "ring, head",
     [
+        # the exported alias the benchmark's ops probe still builds series with
+        (RATIONAL_RING, 0),
         (LAMBDA_RING, 0),
         (LAMBDA_RING, LAM),
-        (LAMBDA_RING, 1 + LAM),
         (XPOLY_RING, 0),
         (XPOLY_RING, LAM),
         (XPOLY_RING, X),
         (XPOLY_RING, 1 + X),
+        (LAMBDA_RING, 1 + LAM),
     ],
 )
 def test_a_unit_is_a_nonzero_lambda_free_rational(ring, head):
