@@ -6,7 +6,9 @@ siblings x(x-λ)...(x-(n-1)λ).  The four change-of-basis tables between
 {x^n}, {falling}, {deformed falling} all follow from the three-term
 recurrence x (x)_k = (x)_{k+1} + k (x)_k and its deformed twin
 x (x)_{k,λ} = (x)_{k+1,λ} + kλ (x)_{k,λ}: each row is the previous one
-shifted by a column plus a step weight times itself.
+shifted by a column plus a step weight times itself.  Every entry has
+integer coefficients, so a row is built on the integer λ-numerators of
+the row before, with no LambdaPoly arithmetic.
 
 The Bell and geometric families are weighted sums over one table row.
 The Bernoulli numbers follow the term recurrence of a reciprocal series
@@ -122,14 +124,20 @@ _STEP = {
 
 
 def _build_row(kind: str, n: int, rows) -> tuple[LambdaPoly, ...]:
+    # the recurrence on the integer λ-numerators s, c of entries (n-1, k-1)
+    # and (n-1, k) (every entry has denominator 1): coefficient i of
+    # s + (a + bλ) c is s_i + a c_i + b c_{i-1}
     if n == 0:
         return (LP_ONE,)
-    prev = rows[n - 1] + (LP_ZERO,)
+    prev = [()] + [e.num for e in rows[n - 1]] + [()]
     step = _STEP[kind]
-    return tuple(
-        (prev[k - 1] if k else LP_ZERO) + LambdaPoly(step(n - 1, k)) * prev[k]
-        for k in range(n + 1)
-    )
+    row = []
+    for k in range(n + 1):
+        a, b = step(n - 1, k)
+        s, c = prev[k], prev[k + 1]
+        terms = zip((*s, *[0] * (len(c) + 1 - len(s))), (*c, 0), (0, *c))
+        row.append(LambdaPoly._new([p + a * x + b * y for p, x, y in terms]))
+    return tuple(row)
 
 
 # kind -> reader of its rows

@@ -19,11 +19,11 @@ All comparisons are exact; there are no tolerances anywhere.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
-from dataclasses import dataclass
-from math import comb, factorial
-from typing import Callable, Optional
+from collections import namedtuple
+from itertools import count
+from math import comb, factorial, lcm
+from operator import add, mul
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational
 from .poly import (
@@ -36,7 +36,7 @@ from .poly import (
     XPoly,
     lambda_falling,
 )
-from .series import LAMBDA_RING, XPOLY_RING, Series, diag_weight, first_mismatch
+from .series import LAMBDA_RING, XPOLY_RING, Series, first_mismatch
 from .ratfunc import RationalFn, gamma_moment, substitute_mobius
 from .render import value_to_json
 from . import families as fam
@@ -53,36 +53,28 @@ __all__ = [
 ]
 
 
-# largest bound a check or a table accepts: the default bounds reach 50,
-# and at 100 the slowest check (E04) still finishes in under a minute
+# largest bound a check or a table accepts: the default bounds reach 50.
+# At 100 (order 64 where a check takes one) the slowest checks are L2 and
+# T5T6 at about 14 and 13 s, then E04 at 9 s; all 18 take about 49 s in one
+# process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
 MAX_BOUND = 100
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one identity check."""
+class Verdict(namedtuple("Verdict", "id status checked_range description params counterexample",
+                          defaults=(None,))):
+    """Outcome of one identity check; status is "pass" or "fail"."""
 
-    id: str
-    status: str  # "pass" | "fail"
-    checked_range: dict
-    description: str
-    params: dict
-    counterexample: Optional[dict] = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "id description params fn perturbation")):
     """A registered check: its bounds, runner, and negative control."""
 
-    id: str
-    description: str
-    params: dict
-    fn: Callable[..., Verdict]
-    perturbation: str
+    __slots__ = ()
 
 
 _CHECKS: list[IdentityCheck] = []
@@ -99,24 +91,31 @@ def _check(check_id: str, fault: str, **fixed):
     """Register the decorated check body under check_id.
 
     Keywords in ``fixed`` are bound into every call; they lead ``params``
-    but cannot be overridden.  The returned wrapper validates the bounds
-    (each must be an int in 0..MAX_BOUND) and turns the body's result
-    into a Verdict.
+    but cannot be overridden.  The returned wrapper takes keyword
+    arguments only (the body's parameters that have defaults), validates
+    the bounds (each must be an int in 0..MAX_BOUND) and turns the body's
+    result into a Verdict.
     """
 
     def register(body):
-        sig = inspect.signature(body)
-        bounds = [name for name, p in sig.parameters.items() if type(p.default) is int]
+        # the parameters with defaults are the last co_argcount names the
+        # body's code lists, in order
+        code, values = body.__code__, body.__defaults__
+        names = code.co_varnames[code.co_argcount - len(values) : code.co_argcount]
+        defaults = {name: v for name, v in zip(names, values) if name not in fixed}
+        bounds = [name for name, value in defaults.items() if type(value) is int]
         description = " ".join(body.__doc__.split())
 
         @functools.wraps(body)
-        def run(*args, **kwargs) -> Verdict:
-            call = sig.bind(*args, **fixed, **kwargs)
-            call.apply_defaults()
+        def run(**kwargs) -> Verdict:
+            unknown = kwargs.keys() - defaults.keys()
+            if unknown:
+                raise TypeError(f"{check_id} takes no argument {', '.join(sorted(unknown))}")
+            call = {**defaults, **kwargs}
             for name in bounds:
-                _check_bound(check_id, name, call.arguments[name])
-            params = {**fixed, **{name: call.arguments[name] for name in bounds}}
-            failure = body(*call.args, **call.kwargs)
+                _check_bound(check_id, name, call[name])
+            params = {**fixed, **{name: call[name] for name in bounds}}
+            failure = body(**fixed, **call)
             if failure is None:
                 return Verdict(check_id, "pass", dict(params), description, params)
             indices, lhs, rhs = failure
@@ -129,8 +128,8 @@ def _check(check_id: str, fault: str, **fixed):
                 {"indices": indices, "lhs": lhs, "rhs": rhs},
             )
 
-        defaults = {**fixed, **{name: sig.parameters[name].default for name in bounds}}
-        _CHECKS.append(IdentityCheck(check_id, description, defaults, run, fault))
+        params = {**fixed, **{name: defaults[name] for name in bounds}}
+        _CHECKS.append(IdentityCheck(check_id, description, params, run, fault))
         return run
 
     return register
@@ -207,14 +206,16 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
         ("geometric", fam.geom_series(order)),
     ]
     bases += [(f"binomial_{r}", fam.binom_series(r, order)) for r in range(2, r_max + 1)]
-    battery = [(XPoly(fc), fc, f_label) for fc, f_label in _poly_battery(d_max)]
+    shift = 1 if perturbed else 0
+    # each polynomial's samples f(k + shift), k <= order, once for all bases
+    battery = [([XPoly(fc).eval(k + shift, 0) for k in range(order + 1)], fc, f_label)
+               for fc, f_label in _poly_battery(d_max)]
     # x^k g^(k) vanishes below x^(order+1) once k > order
     top = min(d_max, order)
     for g_label, g in bases:
         transform = _s2_transform(g, top)
-        for f, fc, f_label in battery:
-            shift = 1 if perturbed else 0
-            lhs = g.diag(lambda k: f.eval(k + shift, 0))
+        for samples, fc, f_label in battery:
+            lhs = g.diag(samples.__getitem__)
             bad = first_mismatch(lhs, transform(fc))
             if bad is not None:
                 return {"g": g_label, "f": f_label, "coeff": bad[0]}, bad[1], bad[2]
@@ -225,14 +226,20 @@ def check_T4(d_max=6, order=16, perturbed=False):
     """deformed exponential sums sampled by a polynomial equal the deformed
     exponential times the matching second-kind deformed Bell combination"""
     e = fam.e_lambda_series(order, "x")
-    for fc, f_label in _poly_battery(d_max):
+    battery = _poly_battery(d_max)
+    # the battery is x^0..x^d_max and then one mix of them: the right side
+    # of x^n is e times the expanded second-kind Bell polynomial of degree
+    # n, built once, and the mix's is the same combination of those
+    mix_fc = battery[-1][0]
+    mix = Series("x", order, [], LAMBDA_RING)
+    for n, (fc, f_label) in enumerate(battery):
+        if n <= d_max:
+            rhs = e * fam.bell_second_deg(n).expand(order)
+            mix = mix + rhs.scaled(mix_fc[n])
+        else:
+            rhs = mix
         f = XPoly(fc)
         lhs = e.diag(lambda k: f.eval(k, 0) + (k if perturbed else 0))
-        combo = Series("x", order, [], LAMBDA_RING)
-        for n, fn in enumerate(fc):
-            if fn:
-                combo = combo + fam.bell_second_deg(n).expand(order).scaled(fn)
-        rhs = e * combo
         bad = first_mismatch(lhs, rhs)
         if bad is not None:
             return {"f": f_label, "coeff": bad[0]}, bad[1], bad[2]
@@ -294,16 +301,25 @@ def _s1_mobius_numerator(m: int, poly_of, bump_l0=False) -> XPoly:
     return substitute_mobius(total, -1).num
 
 
+def _falling_rows(top: int):
+    # for m = 0, 1, ...: the deformed falling products (k)_{m,λ}, k <= top,
+    # each row the one before times k - (m-1)λ, one product per entry
+    row = [LP_ONE] * (top + 1)
+    for m in count():
+        yield row
+        row = [w * LambdaPoly._new([k, -m]) for k, w in enumerate(row)]
+
+
 @_check("T7", fault="adds 1 to the S1(m, 0) weight")
 def check_T7(m_max=10, k_max=16, perturbed=False):
     """running sums of deformed falling products match the S1-weighted
     geometric closed form with denominator (1-x)^(m+2)"""
-    for m in range(m_max + 1):
+    for m, falling in zip(range(m_max + 1), _falling_rows(k_max)):
         num = _s1_mobius_numerator(m, fam.geometric, bump_l0=perturbed)
         s = RationalFn(num, _ONE_MINUS_X ** (m + 2)).expand(k_max)
         acc = LP_ZERO
         for k in range(k_max + 1):
-            acc = acc + lambda_falling(k, m)
+            acc = acc + falling[k]
             if s.coeff(k) != acc:
                 return {"m": m, "k": k}, s.coeff(k), acc
 
@@ -323,6 +339,61 @@ def check_T8(n_max=30, perturbed=False):
             return {"n": n}, lhs, rhs
 
 
+def _numerators(table):
+    # the entries of a λ-table as integer numerator lists over one common
+    # denominator, and that denominator
+    den = lcm(*(e.den for row in table for e in row))
+    return [[e.num if e.den == den else [c * (den // e.den) for c in e.num] for e in row]
+            for row in table], den
+
+
+def _values(entries, t: int) -> list:
+    # each integer numerator list at λ = t, by Horner's rule: t is small,
+    # so each step is a short multiply, unlike a sum of c_i t^i
+    out = []
+    for c in entries:
+        v = 0
+        for x in reversed(c):
+            v = v * t + x
+        out.append(v)
+    return out
+
+
+def _first_non_identity(a, b, before):
+    # the first (n, m) before ``before`` in row-major order at which
+    # sum_k a[n][k] b[k][m] differs from δ(n, m), or None.  That sum has
+    # λ-degree at most D(n, m) = max_k deg a[n][k] + deg b[k][m] (a zero
+    # entry adds no product), so its values at λ = 0..D(n, m) decide it
+    # exactly.  One point at a time, the columns of b that point needs are
+    # evaluated on integer numerators, and each row of a as it is reached;
+    # all are dropped after it.
+    size = len(a)
+    (a, da), (b, db) = _numerators(a), _numerators(b)
+    top = max(len(c) for row in (*a, *b) for c in row)
+    none = -2 * top  # the degree of a zero entry: no sum with it is >= 0
+    adeg = [[len(c) - 1 if c else none for c in row] for row in a]
+    bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
+    need = [[max(map(add, adeg[n][m:], bdeg[m])) for m in range(n + 1)] for n in range(size)]
+    stop, hit = before or (size, 0), None
+    for t in range(max(max(r) for r in need) + 1):
+        cols = {}
+        for n in range(size):
+            if n > stop[0]:
+                break
+            row = None
+            for m in range(n + 1 if n < stop[0] else stop[1]):
+                if t and need[n][m] < t:
+                    continue
+                if row is None:
+                    row = _values(a[n], t)
+                if m not in cols:
+                    cols[m] = _values([b[k][m] for k in range(m, size)], t)
+                if sum(map(mul, row[m:], cols[m])) != (da * db if n == m else 0):
+                    hit = stop = n, m
+                    break
+    return hit
+
+
 @_check("E04", fault="adds 1 to the deformed first-kind entry (2, 1)")
 def check_E04(n_max=40, perturbed=False):
     """the change-of-basis tables are mutually inverse: classical pairs in
@@ -337,19 +408,25 @@ def check_E04(n_max=40, perturbed=False):
             rebuilt = XPOLY_RING._dot((XPoly.coerce(e), by(k)) for k, e in enumerate(table[n]))
             if rebuilt != want:
                 return {"n": n, "basis": basis}, rebuilt, want
-    for n in range(n_max + 1):
-        row = s1d[n]
-        if perturbed and n == 2:
-            row = (row[0], row[1] + 1, *row[2:])
-        for m in range(n + 1):
-            want = RAT_ONE if n == m else RAT_ZERO
-            for a, b in ((s1, s2), (s2, s1)):
-                got = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1)).constant_value()
-                if got != want:
-                    return {"n": n, "m": m, "pair": "classical"}, got, want
-            val = LAMBDA_RING._dot((row[k], s2d[k][m]) for k in range(m, n + 1))
-            if val != want:
-                return {"n": n, "m": m, "pair": "deformed"}, val, LambdaPoly.const(want)
+    if perturbed and n_max >= 2:
+        row = s1d[2]
+        s1d = (*s1d[:2], (row[0], row[1] + 1, *row[2:]), *s1d[3:])
+    # the first (n, m) where a product is not the identity, the classical
+    # pairs ahead of the deformed one at the same (n, m); its entry is
+    # then recomputed as the λ-dot for the counterexample
+    found = None
+    for pair, a, b in (("classical", s1, s2), ("classical", s2, s1), ("deformed", s1d, s2d)):
+        at = _first_non_identity(a, b, found and found[0])
+        if at is not None:
+            found = at, pair, a, b
+    if found is None:
+        return None
+    (n, m), pair, a, b = found
+    want = RAT_ONE if n == m else RAT_ZERO
+    val = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
+    if pair == "classical":
+        return {"n": n, "m": m, "pair": pair}, val.constant_value(), want
+    return {"n": n, "m": m, "pair": pair}, val, LambdaPoly.const(want)
 
 
 @_check("E40", fault="divides the Bernoulli closed form by m+2 instead of m+1")
@@ -397,16 +474,23 @@ def check_eulerian(m_max=10, k_max=20, perturbed=False):
 def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
     """rising-binomial coefficients weighted by deformed falling products
     match the S1-weighted higher-order geometric closed form"""
-    for r in range(1, r_max + 1):
-        shift = 0 if perturbed else 1
-        bs = Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LAMBDA_RING)
-        for m in range(m_max + 1):
-            lhs = diag_weight(bs, m)
+    shift = 0 if perturbed else 1
+    binomials = [Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LAMBDA_RING)
+                 for r in range(1, r_max + 1)]
+    # each row of weights (k)_{m,λ} serves every r, so m runs outside; the
+    # first failure in (r, m) order is kept, and after one at r only
+    # smaller r can still come before it
+    found, r_stop = None, r_max + 1
+    for m, weights in zip(range(m_max + 1), _falling_rows(order)):
+        for r in range(1, r_stop):
+            lhs = binomials[r - 1].diag(weights.__getitem__)
             num = _s1_mobius_numerator(m, lambda l: fam.geometric_r(l, r))
             rhs = RationalFn(num, _ONE_MINUS_X ** (m + r)).expand(order)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
-                return {"r": r, "m": m, "coeff": bad[0]}, bad[1], bad[2]
+                found, r_stop = ({"r": r, "m": m, "coeff": bad[0]}, bad[1], bad[2]), r
+                break
+    return found
 
 
 @_check("E57", fault="divides the Bernoulli combination by n+2 instead of n+1")

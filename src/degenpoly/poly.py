@@ -496,6 +496,7 @@ def _lambda_dot(pairs) -> LambdaPoly:
 
 def _xpoly_dot(pairs) -> XPoly:
     # the λ-coefficient pairs grouped by power of x, then one λ-dot per power
+    # that has any
     groups: list[list] = []
     for a, b in pairs:
         ac, bc = a.coeffs, b.coeffs
@@ -509,7 +510,7 @@ def _xpoly_dot(pairs) -> XPoly:
                 for j, bj in enumerate(bc, i):
                     if bj:
                         groups[j].append((ai, bj))
-    return XPoly._raw(_strip([_lambda_dot(g) for g in groups]))
+    return XPoly._raw(_strip([_lambda_dot(g) if g else LP_ZERO for g in groups]))
 
 
 def lambda_falling(base, m: int) -> LambdaPoly:

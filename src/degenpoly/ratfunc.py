@@ -25,7 +25,7 @@ from operator import add
 from typing import Sequence, Union
 
 from .rational import Rational
-from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact, _xpoly_dot
+from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact, _lambda_dot, _xpoly_dot
 from .series import LAMBDA_RING, Series, _unit_value
 
 __all__ = [
@@ -85,10 +85,20 @@ class RationalFn(_Exact):
         return RationalFn(self.num * o.num, self.den * o.den)
 
     def expand(self, order: int) -> Series:
-        """Power-series expansion in x to the given order, λ kept symbolic."""
-        num = Series("x", order, self.num.coeffs[: order + 1], LAMBDA_RING)
-        den = Series("x", order, self.den.coeffs[: order + 1], LAMBDA_RING)
-        return num * den.reciprocal()
+        """Power-series expansion in x to the given order, λ kept symbolic.
+
+        The coefficients s_n solve den * s = num one at a time:
+        s_n = (num_n - sum_{k=1..n} den_k s_{n-k}) / den_0, one λ-dot
+        each, over only the terms the denominator has.
+        """
+        if order < 0:
+            raise ValueError("series order must be nonnegative")
+        inv = LAMBDA_RING.invert(self.den.coeff(0))
+        tail, num = self.den.coeffs[1 : order + 1], self.num.coeff
+        out = []
+        for n in range(order + 1):
+            out.append((num(n) - _lambda_dot(zip(tail, reversed(out)))) * inv)
+        return Series._raw("x", order, tuple(out), LAMBDA_RING)
 
     def eval(self, x, lam) -> Rational:
         """Evaluate at rational x and λ; raises PoleError on a vanishing denominator."""

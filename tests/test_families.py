@@ -9,6 +9,7 @@ import pytest
 from degenpoly.rational import Rational
 from degenpoly.poly import (
     LAM,
+    LP_ONE,
     LP_ZERO,
     X,
     XP_ONE,
@@ -177,6 +178,30 @@ def test_triangular_table_rows_are_the_table_entries(kind):
         assert len(rows) == n + 1
         for k in range(n + 1):
             assert rows[n][k] == stirling(kind, n, k)
+
+
+def _build_row_by_lambda_polys(kind, n, rows):
+    # the LambdaPoly recurrence the table rows were built with before they
+    # were built on integer numerator lists, kept as the reference the rows
+    # must reproduce
+    if n == 0:
+        return (LP_ONE,)
+    prev = rows[n - 1] + (LP_ZERO,)
+    step = families._STEP[kind]
+    return tuple(
+        (prev[k - 1] if k else LP_ZERO) + LambdaPoly(step(n - 1, k)) * prev[k]
+        for k in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("kind", STIRLING_KINDS)
+def test_rows_match_the_lambda_poly_recurrence(kind):
+    want = []
+    for n in range(41):
+        want.append(_build_row_by_lambda_polys(kind, n, want))
+    got = triangular_table(kind, 40)
+    for n, (row, ref) in enumerate(zip(got, want)):
+        assert [(e.num, e.den) for e in row] == [(e.num, e.den) for e in ref], n
 
 
 def test_table_cache_is_thread_safe():

@@ -1,6 +1,9 @@
 """Identity checks: the registry, verdicts, and fault injection."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,20 +14,25 @@ from degenpoly.identities import (
     REGISTRY,
     Verdict,
     _ONE_MINUS_X,
+    _falling_rows,
+    _first_non_identity,
     _poly_battery,
     _s1_lambda_weight,
     _s1_mobius_numerator,
+    check_E04,
     check_L2,
     run_all,
     run_check,
     verdict_to_dict,
     verdicts_to_json,
 )
+import degenpoly
 from degenpoly import families as fam
-from degenpoly.poly import XPoly
+from degenpoly.poly import LAM, LP_ONE, LambdaPoly, XPoly, lambda_falling
 from degenpoly.ratfunc import substitute_mobius
 from degenpoly.rational import RAT_ZERO, Rational
 from degenpoly.render import value_from_json
+from degenpoly.series import LAMBDA_RING
 
 ALL_IDS = [c.id for c in REGISTRY]
 
@@ -264,3 +272,128 @@ def test_verdict_ok_property():
     v = Verdict("x", "pass", {}, "d", {})
     assert v.ok
     assert not Verdict("x", "fail", {}, "d", {}).ok
+
+
+def test_checks_take_their_bounds_as_keywords_only():
+    gf_bell = {c.id: c for c in REGISTRY}["GF-bell"].fn
+    assert check_L2(n_max=3).params == {"n_max": 3}
+    assert gf_bell(order=4).params == {"family": "bell_deg", "order": 4}
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        gf_bell(order=-1)
+    with pytest.raises(TypeError):
+        check_L2(3)
+    with pytest.raises(TypeError):
+        check_L2(n_max=3, bogus=1)
+    # a fixed argument is not a keyword the caller may pass
+    with pytest.raises(TypeError):
+        gf_bell(family="phi_deg")
+    with pytest.raises(TypeError):
+        gf_bell(4)
+
+
+def test_verdicts_are_immutable_and_equal_by_fields():
+    v = Verdict("x", "pass", {"n_max": 1}, "d", {"n_max": 1})
+    assert v == Verdict("x", "pass", {"n_max": 1}, "d", {"n_max": 1}, None)
+    assert v != Verdict("x", "fail", {"n_max": 1}, "d", {"n_max": 1})
+    assert v.counterexample is None and v.ok
+    with pytest.raises(AttributeError):
+        v.status = "fail"
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    entry = REGISTRY[0]
+    with pytest.raises(AttributeError):
+        entry.params = {}
+
+
+def test_import_loads_neither_inspect_nor_dataclasses():
+    env = {**os.environ, "PYTHONPATH": str(Path(degenpoly.__file__).parents[1])}
+    code = "import sys, degenpoly; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_falling_rows_match_lambda_falling():
+    # the weights E50 and T7 share, against the product built from scratch
+    for m, row in zip(range(13), _falling_rows(17)):
+        assert len(row) == 18
+        for k, w in enumerate(row):
+            want = lambda_falling(k, m)
+            assert (w.num, w.den) == (want.num, want.den), (m, k)
+
+
+def _first_bad_product(a, b):
+    # the symbolic product, each entry one λ-dot, kept as the reference the
+    # point check must reproduce: the first (n, m) whose entry is not
+    # δ(n, m), with that entry, or None
+    for n in range(len(a)):
+        for m in range(n + 1):
+            val = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
+            if val != (1 if n == m else 0):
+                return (n, m), val
+    return None
+
+
+def test_the_point_check_agrees_with_the_symbolic_product_on_true_tables():
+    s1, s2, s1d, s2d = (fam.triangular_table(k, 20) for k in ("S1", "S2", "S1deg", "S2deg"))
+    for a, b in ((s1, s2), (s2, s1), (s1d, s2d)):
+        assert _first_bad_product(a, b) is None
+        assert _first_non_identity(a, b, None) is None
+
+
+def _vanishing_on_points(top):
+    # λ(λ-1)...(λ-top): zero at every point λ = 0..top
+    p = LP_ONE
+    for j in range(top + 1):
+        p = p * (LAM - j)
+    return p
+
+
+N_MAX_CORRUPT = 16
+# each corruption of an entry of degree d: a term of degree N_MAX_CORRUPT + 1
+# that vanishes at every λ = 0..n - m for every (n, m) the check reads, a
+# change in the top coefficient alone, and a non-integer coefficient
+CORRUPTIONS = {
+    "extra-power": lambda e: e + _vanishing_on_points(N_MAX_CORRUPT),
+    "top-coefficient": lambda e: e + LambdaPoly.monomial(1, e.degree),
+    "non-integer": lambda e: e + LambdaPoly.monomial(Rational(1, 3), max(e.degree - 1, 0)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("kind, n, k", [("S1deg", 14, 5), ("S2deg", 15, 4), ("S2deg", 16, 16)])
+def test_E04_point_check_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
+    # rows above 12 are past the basis reconstruction, so only the
+    # deformed product can see the corrupted entry
+    real = fam.triangular_table
+
+    def corrupted(table_kind, n_max):
+        rows = real(table_kind, n_max)
+        if table_kind != kind:
+            return rows
+        rows = [list(r) for r in rows]
+        rows[n][k] = CORRUPTIONS[corruption](rows[n][k])
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(fam, "triangular_table", corrupted)
+    s1d, s2d = (fam.triangular_table(t, N_MAX_CORRUPT) for t in ("S1deg", "S2deg"))
+    (bad_n, bad_m), val = _first_bad_product(s1d, s2d)
+    v = check_E04(n_max=N_MAX_CORRUPT)
+    assert not v.ok
+    assert v.counterexample["indices"] == {"n": bad_n, "m": bad_m, "pair": "deformed"}
+    lhs = v.counterexample["lhs"]
+    assert type(lhs) is LambdaPoly and (lhs.num, lhs.den) == (val.num, val.den)
+    assert v.counterexample["rhs"] == LambdaPoly.const(1 if bad_n == bad_m else 0)
+
+
+def test_the_point_check_reports_the_first_of_two_faults():
+    # the later fault sits in a later row at a smaller column, so a scan
+    # that ran on past the first failing entry would report it instead
+    s1d, s2d = (list(map(list, fam.triangular_table(t, 16))) for t in ("S1deg", "S2deg"))
+    s2d[13][5] = s2d[13][5] + 1
+    s1d[15][3] = s1d[15][3] + 7
+    assert _first_bad_product(s1d, s2d)[0] == (13, 5)
+    assert _first_non_identity(s1d, s2d, None) == (13, 5)
+    assert _first_non_identity(s1d, s2d, (13, 5)) is None
+    assert _first_non_identity(s1d, s2d, (14, 0)) == (13, 5)

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from degenpoly.rational import Rational
 from degenpoly.poly import LAM, LP_ZERO, X, XP_ONE, XP_ZERO, LambdaPoly, XPoly
 from degenpoly.ratfunc import PoleError, RationalFn, gamma_moment, substitute_mobius
-from degenpoly.series import NonInvertibleError
-from degenpoly.families import bell_deg, bell_second_deg, bell_partial_deg, geometric_deg
+from degenpoly.series import LAMBDA_RING, NonInvertibleError, Series
+from degenpoly.families import (
+    bell_deg,
+    bell_partial_deg,
+    bell_second_deg,
+    geometric,
+    geometric_deg,
+)
 
 rationals = st.builds(Rational, st.integers(-6, 6), st.integers(1, 6))
 xpolys = st.builds(XPoly, st.lists(rationals, max_size=4))
@@ -262,3 +268,45 @@ def test_substitute_mobius_examples_match_the_lambda_poly_taylor_shift(shift):
         got, want = substitute_mobius(p, shift), mobius_by_taylor_shift(p, shift)
         assert _xfields(got.num) == _xfields(want.num)
         assert _xfields(got.den) == _xfields(want.den)
+
+
+def expand_by_reciprocal(r: RationalFn, order: int) -> Series:
+    # num times the reciprocal series of den, the expansion RationalFn.expand
+    # ran before it solved den * s = num, kept as the reference it must
+    # reproduce
+    num = Series("x", order, r.num.coeffs[: order + 1], LAMBDA_RING)
+    den = Series("x", order, r.den.coeffs[: order + 1], LAMBDA_RING)
+    return num * den.reciprocal()
+
+
+def _series_fields(s: Series):
+    return s.var, s.order, s.ring, tuple((c.num, c.den) for c in s.coeffs)
+
+
+units = st.builds(Rational, st.integers(1, 6), st.integers(1, 6)) | st.builds(
+    Rational, st.integers(-6, -1), st.integers(1, 6)
+)
+denominators = st.builds(lambda u, rest: XPoly([u, *rest]), units, st.lists(lambdapolys, max_size=4))
+
+
+@given(bivariate, denominators, st.integers(0, 14))
+@settings(max_examples=150)
+def test_expand_matches_num_times_the_reciprocal(num, den, order):
+    r = RationalFn(num, den)
+    assert _series_fields(r.expand(order)) == _series_fields(expand_by_reciprocal(r, order))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_expand_matches_num_times_the_reciprocal_on_families(n):
+    # denominators (1 + λx)^n and (1 - x)^(n + 2), at orders below, at and
+    # above the degree of the numerator
+    cases = [bell_second_deg(n), RationalFn(substitute_mobius(geometric(n), -1).num,
+                                            (XP_ONE - X) ** (n + 2))]
+    for r in cases:
+        for order in range(r.num.degree + 3):
+            assert _series_fields(r.expand(order)) == _series_fields(expand_by_reciprocal(r, order))
+
+
+def test_expand_needs_a_nonnegative_order():
+    with pytest.raises(ValueError):
+        RationalFn(X, XP_ONE - X).expand(-1)
