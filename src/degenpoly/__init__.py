@@ -54,7 +54,7 @@ from .identities import (
 
 # read only by the benchmark's ops probe (perfbench/child.py), which still
 # builds a "rational" series; the next benchmark change removes it
-RATIONAL_RING = LAMBDA_RING
+RATIONAL_RING = LambdaPoly
 
 __version__ = "0.1.0"
 

@@ -211,6 +211,8 @@ def _row_bound(name: str, value: int) -> int:
 def _cmd_table(args) -> int:
     family = args.family
     if args.n is not None:
+        if args.n_max is not None:
+            raise ValueError("--n-max does not apply to a single row: --n prints row n alone")
         ns = [_row_bound("n", args.n)]
     else:
         n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX
@@ -271,14 +273,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prefix = None if args.all or args.prefix is None else args.prefix
+    if args.all and args.prefix is not None:
+        raise ValueError(f"--all does not apply to prefix {args.prefix!r}: give one or the other")
     overrides = {
         "n_max": args.n_max,
         "order": args.order,
         "m_max": args.m_max,
         "r_max": args.r_max,
     }
-    verdicts = run_all(prefix, overrides, negative_control=args.negative_control)
+    verdicts = run_all(args.prefix, overrides, negative_control=args.negative_control)
     json_out = args.format == "json" or args.output not in (None, "-")
     lines_to = sys.stderr if (args.format == "json" and args.output in (None, "-")) else sys.stdout
     for v in verdicts:

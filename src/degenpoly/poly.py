@@ -22,6 +22,11 @@ not embed.  The private base ``_Exact`` writes the derived operators
 once for all three types, so mixed arithmetic such as ``2 * p - q / 3``
 works in any combination.
 
+A coefficient ring is its type: LambdaPoly and XPoly carry ``name``,
+``zero``, ``one``, ``coerce``, ``invert`` and ``_dot`` (the kernels below).
+A unit is a nonzero λ-free rational constant, in whichever type it is
+held; ``invert`` raises NonInvertibleError on anything else.
+
 Sum-of-products rule: a product, and any sum of products, is one ring
 dot.  ``_lambda_dot`` and ``_xpoly_dot`` (at the end of this module)
 each sum a*b over an iterable of (a, b) pairs in a single accumulator
@@ -44,6 +49,7 @@ from typing import Iterable
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational, is_scalar
 
 __all__ = [
+    "NonInvertibleError",
     "LambdaPoly",
     "XPoly",
     "LAM",
@@ -90,13 +96,27 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
+class NonInvertibleError(ZeroDivisionError):
+    """Division by a series or coefficient that is not a unit."""
+
+
+def _unit_value(v) -> Rational:
+    # the scalar, LambdaPoly or XPoly v as a rational when it is a unit (the
+    # rule in the module docstring), else NonInvertibleError
+    p = XPoly.coerce(v)
+    if p.degree != 0 or p.lambda_degree != 0:
+        raise NonInvertibleError(f"constant term {v} is not a unit")
+    return p.coeff(0).coeff(0)
+
+
 class _Exact:
     """Operators shared by LambdaPoly, XPoly and RationalFn.
 
     A subclass supplies ``_coerce`` (the value itself, or a value of the
     type one step down the embedding chain lifted into the subclass,
     else None), ``__add__``, ``__neg__``, ``__mul__``, ``text`` and its
-    one value ``_ONE``; everything here follows from those.
+    one value ``one``; everything here follows from those.  The type is
+    the ring: ``coerce`` and ``invert`` are its embedding and inversion.
     """
 
     __slots__ = ()
@@ -108,6 +128,11 @@ class _Exact:
         if v is None:
             raise TypeError(f"{value!r} does not embed into {cls.__name__}")
         return v
+
+    @classmethod
+    def invert(cls, value):
+        """1/value in this type; NonInvertibleError unless value is a unit."""
+        return cls.coerce(RAT_ONE / _unit_value(value))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -138,7 +163,7 @@ class _Exact:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
-        acc = self._ONE
+        acc = self.one
         for _ in range(n):
             acc = acc * self
         return acc
@@ -188,7 +213,7 @@ class LambdaPoly(_Exact):
 
     @classmethod
     def const(cls, value) -> "LambdaPoly":
-        q = as_rational(value)
+        q = value if isinstance(value, (int, Rational)) else as_rational(value)
         return cls._new([q.numerator], q.denominator)
 
     @classmethod
@@ -324,7 +349,7 @@ class LambdaPoly(_Exact):
 
 
 LP_ZERO = LambdaPoly._new([])
-LP_ONE = LambdaPoly._ONE = LambdaPoly._new([1])
+LP_ONE = LambdaPoly.one = LambdaPoly._new([1])
 LAM = LambdaPoly._new([0, 1])
 
 
@@ -461,7 +486,7 @@ class XPoly(_Exact):
 
 
 XP_ZERO = XPoly._raw(())
-XP_ONE = XPoly._ONE = XPoly._raw((LP_ONE,))
+XP_ONE = XPoly.one = XPoly._raw((LP_ONE,))
 X = XPoly._raw((LP_ZERO, LP_ONE))
 
 
@@ -511,6 +536,10 @@ def _xpoly_dot(pairs) -> XPoly:
                     if bj:
                         groups[j].append((ai, bj))
     return XPoly._raw(_strip([_lambda_dot(g) if g else LP_ZERO for g in groups]))
+
+
+LambdaPoly.name, LambdaPoly.zero, LambdaPoly._dot = "lambda", LP_ZERO, staticmethod(_lambda_dot)
+XPoly.name, XPoly.zero, XPoly._dot = "xpoly", XP_ZERO, staticmethod(_xpoly_dot)
 
 
 def lambda_falling(base, m: int) -> LambdaPoly:

@@ -25,8 +25,8 @@ from operator import add
 from typing import Sequence, Union
 
 from .rational import Rational
-from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact, _lambda_dot, _xpoly_dot
-from .series import LAMBDA_RING, Series, _unit_value
+from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact, _unit_value, _xpoly_dot
+from .series import Series, _divide
 
 __all__ = [
     "RationalFn",
@@ -85,20 +85,11 @@ class RationalFn(_Exact):
         return RationalFn(self.num * o.num, self.den * o.den)
 
     def expand(self, order: int) -> Series:
-        """Power-series expansion in x to the given order, λ kept symbolic.
-
-        The coefficients s_n solve den * s = num one at a time:
-        s_n = (num_n - sum_{k=1..n} den_k s_{n-k}) / den_0, one λ-dot
-        each, over only the terms the denominator has.
-        """
+        """Power-series expansion in x to the given order, λ kept symbolic (series._divide)."""
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        inv = LAMBDA_RING.invert(self.den.coeff(0))
-        tail, num = self.den.coeffs[1 : order + 1], self.num.coeff
-        out = []
-        for n in range(order + 1):
-            out.append((num(n) - _lambda_dot(zip(tail, reversed(out)))) * inv)
-        return Series._raw("x", order, tuple(out), LAMBDA_RING)
+        out = _divide(self.num.coeffs, self.den.coeffs, order, LambdaPoly)
+        return Series._raw("x", order, out, LambdaPoly)
 
     def eval(self, x, lam) -> Rational:
         """Evaluate at rational x and λ; raises PoleError on a vanishing denominator."""
@@ -128,7 +119,7 @@ class RationalFn(_Exact):
         return f"({num}) / ({den})"
 
 
-RationalFn._ONE = RationalFn(XP_ONE)
+RationalFn.one = RationalFn(XP_ONE)
 
 
 def _binomial_power(s: LambdaPoly, d: int) -> XPoly:

@@ -2,22 +2,21 @@
 
 A Series is a finite prefix c_0 + c_1 v + ... + c_N v^N of a formal
 power series in the variable named by ``var``, with coefficients in
-one of two rings: LambdaPoly or XPoly.  A series with rational
-coefficients is a λ-free series over LambdaPoly.  The stored
-coefficients are the plain series coefficients; any factorial
-normalisation belongs to whoever builds or reads the series, not to
-this module.
+one of two rings.  A ring is the coefficient type, LambdaPoly or XPoly
+(see poly); a series with rational coefficients is a λ-free series over
+LambdaPoly.  The stored coefficients are the plain series coefficients;
+any factorial normalisation belongs to whoever builds or reads the
+series, not to this module.
 
 Truncation discipline: a binary operation never manufactures precision,
 so the result order is min(order_a, order_b).  Binary operations also
 insist on an identical variable tag and an identical coefficient ring.
 truncate() only shortens.
 
-A unit is a nonzero λ-free rational constant, in whichever ring it is
-held.  reciprocal() needs a unit constant term, and ratfunc asks the
-same of the constant term of a denominator.
+reciprocal() needs a unit constant term (poly's unit rule); it and
+ratfunc's RationalFn.expand both solve den * s = num through _divide.
 
-Kernel rule: each coefficient of a product, reciprocal, exp or compose
+Kernel rule: each coefficient of a product, quotient, exp or compose
 is one ring dot, as poly's sum-of-products rule says.
 """
 
@@ -25,22 +24,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .rational import RAT_ONE, Rational
-from .poly import (
-    LP_ONE,
-    LP_ZERO,
-    XP_ONE,
-    XP_ZERO,
-    LambdaPoly,
-    XPoly,
-    _lambda_dot,
-    _xpoly_dot,
-    lambda_falling,
-)
+from .poly import LambdaPoly, NonInvertibleError, XPoly, lambda_falling
 
 __all__ = [
     "Series",
-    "CoefficientRing",
     "LAMBDA_RING",
     "XPOLY_RING",
     "NonInvertibleError",
@@ -49,45 +36,20 @@ __all__ = [
 ]
 
 
-class NonInvertibleError(ZeroDivisionError):
-    """Division by a series or coefficient that is not a unit."""
+LAMBDA_RING = LambdaPoly
+XPOLY_RING = XPoly
 
 
-def _unit_value(v) -> Rational:
-    # the scalar, LambdaPoly or XPoly v as a rational when it is a unit (the
-    # rule in the module docstring), else NonInvertibleError
-    p = XPoly.coerce(v)
-    if p.degree != 0 or p.lambda_degree != 0:
-        raise NonInvertibleError(f"constant term {v} is not a unit")
-    return p.coeff(0).coeff(0)
-
-
-class CoefficientRing:
-    """Descriptor for a coefficient ring: its zero, one, coercion, inversion.
-
-    The private ``_dot(pairs)`` returns sum a*b over (a, b) pairs of ring
-    elements, summed in one accumulator and normalised once.
-    """
-
-    __slots__ = ("name", "zero", "one", "coerce", "_dot")
-
-    def __init__(self, name, zero, one, coerce, dot):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.coerce = coerce
-        self._dot = dot
-
-    def invert(self, v):
-        """1/v in this ring; NonInvertibleError unless v is a unit."""
-        return self.coerce(RAT_ONE / _unit_value(v))
-
-    def __repr__(self):
-        return f"<ring {self.name}>"
-
-
-LAMBDA_RING = CoefficientRing("lambda", LP_ZERO, LP_ONE, LambdaPoly.coerce, _lambda_dot)
-XPOLY_RING = CoefficientRing("xpoly", XP_ZERO, XP_ONE, XPoly.coerce, _xpoly_dot)
+def _divide(num: Sequence, den: Sequence, order: int, ring) -> tuple:
+    """s_0..s_order of num/den over ring, den[0] a unit: one ring dot over
+    den's own terms per den_0 s_n = num_n - sum_{k=1..n} den_k s_{n-k}."""
+    inv, dot, tail = ring.invert(den[0]), ring._dot, den[1 : order + 1]
+    out = []
+    for n in range(order + 1):
+        acc = dot(zip(tail, reversed(out)))
+        # the constant inv first: a product loops over its left factor's terms
+        out.append(inv * (num[n] - acc if n < len(num) else -acc))
+    return tuple(out)
 
 
 class Series:
@@ -95,7 +57,7 @@ class Series:
 
     __slots__ = ("var", "order", "ring", "coeffs")
 
-    def __init__(self, var: str, order: int, coeffs: Sequence, ring: CoefficientRing):
+    def __init__(self, var: str, order: int, coeffs: Sequence, ring: type):
         if order < 0:
             raise ValueError("series order must be nonnegative")
         if len(coeffs) > order + 1:
@@ -117,7 +79,7 @@ class Series:
         return s
 
     @classmethod
-    def one(cls, var: str, order: int, ring: CoefficientRing) -> "Series":
+    def one(cls, var: str, order: int, ring: type) -> "Series":
         return cls(var, order, [1], ring)
 
     def coeff(self, n: int):
@@ -194,13 +156,8 @@ class Series:
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse; needs an invertible constant term."""
-        inv = self.ring.invert(self.coeffs[0])
-        a, dot = self.coeffs, self.ring._dot
-        out = [inv]
-        # a_0 out_n = -sum_{k=1..n} a_k out_{n-k}
-        for n in range(1, self.order + 1):
-            out.append(-(inv * dot(zip(a[1 : n + 1], out[::-1]))))
-        return Series._raw(self.var, self.order, tuple(out), self.ring)
+        out = _divide((self.ring.one,), self.coeffs, self.order, self.ring)
+        return Series._raw(self.var, self.order, out, self.ring)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute inner for this series' variable.
@@ -212,7 +169,7 @@ class Series:
         """
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
-        if self.ring is XPOLY_RING and inner.ring is not XPOLY_RING:
+        if self.ring is XPoly and inner.ring is not XPoly:
             raise ValueError(
                 f"outer ring {self.ring.name} does not embed into {inner.ring.name}"
             )

@@ -278,6 +278,8 @@ def test_eval_errors(capsys):
     (("table", "--family", "bell", "--n", "2", "--r", "3"), "--r"),
     (("table", "--family", "bel_second", "--n", "2", "--r", "1", "--format", "json"), "--r"),
     (("eval", "--family", "stirling2", "--n", "4", "--k", "2", "--r", "2"), "--r"),
+    (("table", "--family", "bell", "--n", "2", "--n-max", "5"), "--n-max"),
+    (("verify", "T8", "--all"), "--all"),
 ])
 def test_options_that_cannot_apply_are_refused(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)

@@ -240,6 +240,24 @@ def test_values_that_do_not_embed_raise_type_error():
         XPoly.coerce(RationalFn(X))
 
 
+def test_a_scalar_constant_skips_the_rational_parser(monkeypatch):
+    before = (LambdaPoly.const(3), 2 * LAM, Series("t", 2, [1, 2], LAMBDA_RING),
+              LambdaPoly.const(Rational(-3, 4)))
+
+    def refuse(value):
+        raise AssertionError(f"as_rational({value!r})")
+
+    monkeypatch.setattr(poly, "as_rational", refuse)
+    after = (LambdaPoly.const(3), 2 * LAM, Series("t", 2, [1, 2], LAMBDA_RING),
+             LambdaPoly.const(Rational(-3, 4)))
+    assert after == before
+    assert [(p.num, p.den) for p in after[::3]] == [((3,), 1), ((-3,), 4)]
+    monkeypatch.undo()
+    assert LambdaPoly.const(" 1/2 ") == LambdaPoly([Rational(1, 2)])
+    with pytest.raises(TypeError):
+        LambdaPoly.const(0.5)
+
+
 def _assert_canonical(p: LambdaPoly):
     assert type(p.den) is int and p.den > 0
     assert type(p.num) is tuple and all(type(c) is int for c in p.num)

@@ -175,12 +175,36 @@ def test_reciprocal_needs_unit():
         (XPOLY_RING, 1 + X),
         (LAMBDA_RING, 1 + LAM),
     ],
+    # the IDs pytest gave these cases while a ring was not a class
+    ids=["ring0-0", "ring1-0", "ring2-head2", "ring3-0", "ring4-head4", "ring5-head5",
+         "ring6-head6", "ring7-head7"],
 )
 def test_a_unit_is_a_nonzero_lambda_free_rational(ring, head):
     with pytest.raises(NonInvertibleError):
         Series("t", 3, [head, 1], ring).reciprocal()
     unit = Series("t", 3, [Rational(-2, 3), 1], ring).reciprocal()
     assert unit.coeff(0) == Rational(-3, 2) and unit.ring is ring
+
+
+def test_a_series_prints_and_hashes_by_its_ring_name():
+    s = Series("t", 2, [1, 2], LAMBDA_RING)
+    assert str(s) == repr(s) == "Series[t; lambda; O(t^3)](1, 2, 0)"
+    assert str(Series("x", 1, [X, LAM], XPOLY_RING)) == "Series[x; xpoly; O(x^2)](x, λ)"
+    same = Series("t", 2, [LambdaPoly.const(1), Rational(4, 2), LambdaPoly()], LAMBDA_RING)
+    assert same == s and hash(same) == hash(s)
+    xs = Series("t", 2, [XPoly.const(1), 2], XPOLY_RING)
+    assert xs == Series(s.var, s.order, s.coeffs, XPOLY_RING) and xs != s
+    assert hash(xs) == hash(Series(s.var, s.order, s.coeffs, XPOLY_RING))
+
+
+def test_a_ring_is_its_coefficient_type():
+    import degenpoly
+    from degenpoly import poly, series
+
+    assert LAMBDA_RING is LambdaPoly and XPOLY_RING is XPoly and RATIONAL_RING is LambdaPoly
+    assert degenpoly.NonInvertibleError is series.NonInvertibleError is poly.NonInvertibleError
+    # cli.main turns every ZeroDivisionError into exit 2
+    assert issubclass(NonInvertibleError, ZeroDivisionError)
 
 
 @pytest.mark.parametrize("s", [
