@@ -40,7 +40,7 @@ LAMBDA_RING = LambdaPoly
 XPOLY_RING = XPoly
 
 
-def _divide(num: Sequence, den: Sequence, order: int, ring) -> tuple:
+def _divide(num: Sequence, den: Sequence, order: int, ring: type) -> tuple:
     """s_0..s_order of num/den over ring, den[0] a unit: one ring dot over
     den's own terms per den_0 s_n = num_n - sum_{k=1..n} den_k s_{n-k}."""
     inv, dot, tail = ring.invert(den[0]), ring._dot, den[1 : order + 1]
