@@ -220,7 +220,7 @@ def geometric_r(n: int, r: int) -> XPoly:
     sum of S2(n,k) r(r+1)...(r+k-1) x^k, for integer order r >= 1.
     Order r = 1 reproduces the plain geometric polynomial.
     """
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
     return _weighted_row("S2", n, lambda k: rising_product(r, k))
 
@@ -315,7 +315,7 @@ def geom_series(order: int) -> Series:
 
 def binom_series(r: int, order: int) -> Series:
     """(1-x)^(-r): coefficients C(r+k-1, k)."""
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
     return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], LAMBDA_RING)
 

@@ -96,6 +96,12 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
+def _rat(value):
+    # an int or a rational passes through as it is; anything else goes
+    # through the parser, which reads "p/q" strings and refuses the rest
+    return value if isinstance(value, (int, Rational)) else as_rational(value)
+
+
 class NonInvertibleError(ZeroDivisionError):
     """Division by a series or coefficient that is not a unit."""
 
@@ -155,10 +161,9 @@ class _Exact:
     def __truediv__(self, other):
         if not is_scalar(other):
             return NotImplemented
-        q = as_rational(other)
-        if not q:
+        if not other:
             raise ZeroDivisionError(f"division of a {type(self).__name__} by zero")
-        return self * (RAT_ONE / q)
+        return self * (RAT_ONE / other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -213,12 +218,12 @@ class LambdaPoly(_Exact):
 
     @classmethod
     def const(cls, value) -> "LambdaPoly":
-        q = value if isinstance(value, (int, Rational)) else as_rational(value)
+        q = _rat(value)
         return cls._new([q.numerator], q.denominator)
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "LambdaPoly":
-        q = as_rational(coeff)
+        q = _rat(coeff)
         return cls._new([0] * degree + [q.numerator], q.denominator)
 
     @property
@@ -247,7 +252,7 @@ class LambdaPoly(_Exact):
 
     def eval(self, value) -> Rational:
         """Evaluate at a rational value of the deformation parameter."""
-        v = as_rational(value)
+        v = _rat(value)
         if not self.num:
             return RAT_ZERO
         p, q = v.numerator, v.denominator
@@ -260,7 +265,7 @@ class LambdaPoly(_Exact):
 
     def scale_lambda(self, factor) -> "LambdaPoly":
         """Substitute factor * λ for λ."""
-        f = as_rational(factor)
+        f = _rat(factor)
         if not self.num:
             return self
         p, q = f.numerator, f.denominator
@@ -400,7 +405,7 @@ class XPoly(_Exact):
         and adds the next coefficient's numerators lifted by L/den * q^k,
         and the result is divided once, by L * q^degree.
         """
-        v = as_rational(value)
+        v = _rat(value)
         cs = self.coeffs
         if not cs:
             return LP_ZERO
@@ -423,7 +428,7 @@ class XPoly(_Exact):
 
     def eval_lambda(self, value) -> "XPoly":
         """Substitute a rational for λ, keeping x symbolic."""
-        v = as_rational(value)
+        v = _rat(value)
         return XPoly._raw(_strip([LambdaPoly.const(c.eval(v)) for c in self.coeffs]))
 
     @classmethod

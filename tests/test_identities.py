@@ -16,6 +16,7 @@ from degenpoly.identities import (
     _ONE_MINUS_X,
     _falling_rows,
     _first_non_identity,
+    _inner_power_rows,
     _poly_battery,
     _s1_lambda_weight,
     _s1_mobius_numerator,
@@ -28,11 +29,11 @@ from degenpoly.identities import (
 )
 import degenpoly
 from degenpoly import families as fam
-from degenpoly.poly import LAM, LP_ONE, LambdaPoly, XPoly, lambda_falling
+from degenpoly.poly import LAM, LP_ONE, LP_ZERO, LambdaPoly, XPoly, lambda_falling
 from degenpoly.ratfunc import substitute_mobius
 from degenpoly.rational import RAT_ZERO, Rational
 from degenpoly.render import value_from_json
-from degenpoly.series import LAMBDA_RING
+from degenpoly.series import LAMBDA_RING, Series
 
 ALL_IDS = [c.id for c in REGISTRY]
 
@@ -135,6 +136,10 @@ def test_run_check_overrides():
     assert v.ok and v.checked_range == {"n_max": 14, "order": 8}
     v = run_check("T5T6", {"n_max": 14, "order": 8}, perturbed=True)
     assert not v.ok
+    # the wrong sign first shows in [x^2]: at order 0 the control passes too
+    for bounds, caught in [({"n_max": 14, "order": 0}, False), ({"n_max": 4, "order": 11}, True)]:
+        assert run_check("T5T6", bounds).ok
+        assert run_check("T5T6", bounds, perturbed=True).ok is not caught
 
 
 def test_overrides_cannot_change_fixed_arguments():
@@ -220,6 +225,24 @@ def test_s1_mobius_numerator_matches_the_per_l_reference(poly_of, bump_l0):
     for m in range(11):
         got = _s1_mobius_numerator(m, poly_of, bump_l0=bump_l0)
         assert got.coeffs == _s1_mobius_numerator_reference(m, poly_of, bump_l0).coeffs, m
+
+
+def _inner_power_rows_reference(order, sign):
+    # the powers of x/(1 - sign·λx) T5T6 built by repeated series
+    # multiplication before it used their closed form, kept as the
+    # reference the closed-form rows must reproduce
+    inner = Series("x", order, [LP_ZERO] + [LambdaPoly.monomial(sign**(k - 1), k - 1)
+                                            for k in range(1, order + 1)], LAMBDA_RING)
+    powers = [inner]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * inner)
+    return [[powers[k - 1].coeff(j) for k in range(1, j + 1)] for j in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_inner_power_rows_match_the_series_power_reference(sign):
+    for order in range(33):
+        assert _inner_power_rows(order, sign) == _inner_power_rows_reference(order, sign), order
 
 
 def test_reproducible():

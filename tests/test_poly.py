@@ -241,21 +241,42 @@ def test_values_that_do_not_embed_raise_type_error():
 
 
 def test_a_scalar_constant_skips_the_rational_parser(monkeypatch):
-    before = (LambdaPoly.const(3), 2 * LAM, Series("t", 2, [1, 2], LAMBDA_RING),
-              LambdaPoly.const(Rational(-3, 4)))
+    # every method taking a scalar passes an int or a rational through as
+    # it is; only a string reaches the parser
+    p = LambdaPoly([1, 2, Rational(-1, 3)])
+    q = XPoly([1, LAM, p])
+    third = Rational(1, 3)
+
+    def values():
+        return (LambdaPoly.const(3), 2 * LAM, Series("t", 2, [1, 2], LAMBDA_RING),
+                LambdaPoly.const(Rational(-3, 4)),
+                p.eval(3), p.eval(third), p.scale_lambda(-2), p.scale_lambda(third),
+                LambdaPoly.monomial(5, 2), LambdaPoly.monomial(-third, 1),
+                q.eval_x(2), q.eval_x(third), q.eval_lambda(-1), q.eval_lambda(third),
+                p / 2, q / third)
+
+    before = values()
 
     def refuse(value):
         raise AssertionError(f"as_rational({value!r})")
 
     monkeypatch.setattr(poly, "as_rational", refuse)
-    after = (LambdaPoly.const(3), 2 * LAM, Series("t", 2, [1, 2], LAMBDA_RING),
-             LambdaPoly.const(Rational(-3, 4)))
+    after = values()
     assert after == before
-    assert [(p.num, p.den) for p in after[::3]] == [((3,), 1), ((-3,), 4)]
+    assert [(p.num, p.den) for p in after[:4:3]] == [((3,), 1), ((-3,), 4)]
     monkeypatch.undo()
+    assert after[4:6] == (4, Rational(44, 27))
+    assert after[8] == LambdaPoly([0, 0, 5]) and after[14] == LambdaPoly([Rational(1, 2), 1, Rational(-1, 6)])
     assert LambdaPoly.const(" 1/2 ") == LambdaPoly([Rational(1, 2)])
-    with pytest.raises(TypeError):
-        LambdaPoly.const(0.5)
+    assert p.eval("1/3") == p.eval(third)
+    assert p.scale_lambda("1/3") == p.scale_lambda(third)
+    assert LambdaPoly.monomial("-1/3", 1) == LambdaPoly.monomial(-third, 1)
+    assert q.eval_x("1/3") == q.eval_x(third)
+    assert q.eval_lambda("1/3") == q.eval_lambda(third)
+    for call in (LambdaPoly.const, p.eval, p.scale_lambda, lambda v: LambdaPoly.monomial(v, 1),
+                 q.eval_x, q.eval_lambda, lambda v: p / v, lambda v: q / v):
+        with pytest.raises(TypeError):
+            call(0.5)
 
 
 def _assert_canonical(p: LambdaPoly):
