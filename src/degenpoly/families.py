@@ -11,8 +11,9 @@ integer coefficients, so a row is built on the integer λ-numerators of
 the row before, with no LambdaPoly arithmetic.
 
 The Bell and geometric families are weighted sums over one table row.
-The Bernoulli numbers follow the term recurrence of a reciprocal series
-and the Eulerian polynomials their derivative recurrence, so neither
+The Bernoulli numbers follow the term recurrence of a reciprocal series,
+each deformed step one λ-dot (poly's sum-of-products rule), and the
+Eulerian polynomials their derivative recurrence, so neither
 shares code with the generating series or the geometric polynomials it
 is checked against.  Each memoised sequence is one ``_sequence``, grown
 in index order under one module lock, so concurrent readers are safe:
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 import functools
 import threading
+from itertools import starmap
 from math import comb, factorial
+from operator import mul
 
 from .rational import RAT_ONE, Rational
 from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly
@@ -80,8 +83,8 @@ def _sequence(step):
     terms = []
 
     def term(n: int):
-        if n < 0:
-            raise ValueError("index must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"index must be a nonnegative int, got {n!r}")
         with _LOCK:
             while len(terms) <= n:
                 terms.append(step(len(terms), terms))
@@ -155,8 +158,8 @@ def stirling(kind: str, n: int, k: int) -> LambdaPoly:
     """
     if kind not in STIRLING_KINDS:
         raise ValueError(f"unknown table kind {kind!r}; expected one of {STIRLING_KINDS}")
-    if n < 0 or k < 0:
-        raise ValueError("table indices must be nonnegative")
+    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
+        raise ValueError(f"table indices must be nonnegative ints, got {n!r}, {k!r}")
     if k > n:
         return LP_ZERO
     return _TABLE[kind](n)[k]
@@ -225,21 +228,23 @@ def geometric_r(n: int, r: int) -> XPoly:
     return _weighted_row("S2", n, lambda k: rising_product(r, k))
 
 
-def _reciprocal_step(coeff, one):
+def _reciprocal_step(coeff, one, dot):
     # plain coefficients s_n of 1/(1 + coeff(1) t + coeff(2) t^2 + ...):
-    # s_0 = 1 and s_n = -(coeff(1) s_{n-1} + ... + coeff(n) s_0)
+    # s_0 = 1 and s_n = -(coeff(1) s_{n-1} + ... + coeff(n) s_0), the sum
+    # taken by dot over the (coeff(k), s_{n-k}) pairs
     def step(n, s):
         if n == 0:
             return one
-        return -sum(coeff(k) * s[n - k] for k in range(1, n + 1) if s[n - k])
+        return -dot((coeff(k), s[n - k]) for k in range(1, n + 1))
 
     return step
 
 
 # t-coefficients (1)_{k+1,λ}/(k+1)! of (deformed exponential - 1)/t
 _e_lambda_quotient = _sequence(lambda k, _: _unit_falling(k + 1) / factorial(k + 1))
-_bernoulli_deg = _sequence(_reciprocal_step(_e_lambda_quotient, LP_ONE))
-_bernoulli = _sequence(_reciprocal_step(lambda k: Rational(1, factorial(k + 1)), RAT_ONE))
+_bernoulli_deg = _sequence(_reciprocal_step(_e_lambda_quotient, LP_ONE, LambdaPoly._dot))
+_bernoulli = _sequence(_reciprocal_step(lambda k: Rational(1, factorial(k + 1)), RAT_ONE,
+                                        lambda pairs: sum(starmap(mul, pairs))))
 
 
 def bernoulli_deg(n: int) -> LambdaPoly:
@@ -261,8 +266,8 @@ def bernoulli_number(n: int) -> Rational:
 
 def bernoulli_poly(n: int) -> XPoly:
     """Classical Bernoulli polynomial via the binomial sum over B_k."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"index must be a nonnegative int, got {n!r}")
     # coefficient of x^i is C(n, i) B_{n-i}
     return XPoly(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 

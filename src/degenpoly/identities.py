@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import namedtuple
-from itertools import count
+from itertools import count, repeat, zip_longest
 from math import comb, factorial, lcm
 from operator import add, mul
 
@@ -30,14 +30,13 @@ from .poly import (
     LAM,
     LP_ONE,
     LP_ZERO,
-    X,
-    XP_ONE,
     LambdaPoly,
     XPoly,
+    _strip,
     lambda_falling,
 )
 from .series import LAMBDA_RING, XPOLY_RING, Series, first_mismatch
-from .ratfunc import RationalFn, gamma_moment, substitute_mobius
+from .ratfunc import RationalFn, _binomial_power, gamma_moment, substitute_mobius
 from .render import value_to_json
 from . import families as fam
 
@@ -55,7 +54,7 @@ __all__ = [
 
 # largest bound a check or a table accepts: the default bounds reach 50.
 # At 100 (order 64 where a check takes one) the slowest checks are L2 at
-# about 15 s, E04 at 9 s and T5T6 at 7 s; all 18 take about 44 s in one
+# about 13 s, T5T6 at 6 s and E04 at 5 s; all 18 take about 37 s in one
 # process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
 MAX_BOUND = 100
 
@@ -274,10 +273,6 @@ def check_T5_T6(n_max=12, order=16, perturbed=False):
             return {"n": n, "leg": "inverse"}, back, first
 
 
-# the denominator of the x/(1-x) substitution
-_ONE_MINUS_X = XP_ONE - X
-
-
 def _s1_lambda_weight(m: int, l: int) -> LambdaPoly:
     # S1(m, l) λ^{m-l}: the weight converting power sums to falling products
     return fam.stirling("S1", m, l) * LambdaPoly.monomial(1, m - l)
@@ -310,7 +305,7 @@ def check_T7(m_max=10, k_max=16, perturbed=False):
     geometric closed form with denominator (1-x)^(m+2)"""
     for m, falling in zip(range(m_max + 1), _falling_rows(k_max)):
         num = _s1_mobius_numerator(m, fam.geometric, bump_l0=perturbed)
-        s = RationalFn(num, _ONE_MINUS_X ** (m + 2)).expand(k_max)
+        s = RationalFn(num, _binomial_power(-LP_ONE, m + 2)).expand(k_max)
         acc = LP_ZERO
         for k in range(k_max + 1):
             acc = acc + falling[k]
@@ -341,26 +336,59 @@ def _numerators(table):
             for row in table], den
 
 
-def _values(entries, t: int) -> list:
-    # each integer numerator list at λ = t, by Horner's rule: t is small,
-    # so each step is a short multiply, unlike a sum of c_i t^i
+def _horner(c, t: int) -> int:
+    # the integer numerator list c at λ = t: t is small, so each step is a
+    # short multiply, unlike a sum of c_i t^i
+    v = 0
+    for x in reversed(c):
+        v = v * t + x
+    return v
+
+
+def _recurrence(num, den, step):
+    # a table's numerators (over den) against its row recurrence
+    # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), (a, b) =
+    # step(n-1, k), started from row 0 = (1): per row the weights a and b
+    # as two lists, and the residual, stored row minus recurrence on the
+    # stored row before, as (k, numerators) for each entry that differs
     out = []
-    for c in entries:
-        v = 0
-        for x in reversed(c):
-            v = v * t + x
-        out.append(v)
+    for n, row in enumerate(num):
+        ws, rec = [], [(den,)]
+        if n:
+            ws, rec, prev = [step(n - 1, k) for k in range(n + 1)], [], num[n - 1]
+            for (a, b), s, c in zip(ws, [(), *prev], [*prev, ()]):
+                terms = zip((*s, *[0] * (len(c) + 1 - len(s))), (*c, 0), (0, *c))
+                rec.append(_strip([p + a * x + b * y for p, x, y in terms]))
+        res = [(k, _strip([x - y for x, y in zip_longest(e, r, fillvalue=0)]))
+               for k, (e, r) in enumerate(zip(row, rec)) if tuple(e) != r]
+        out.append(([a for a, _ in ws], [b for _, b in ws], res))
     return out
 
 
-def _first_non_identity(a, b, before):
+def _point_rows(rec, den, t: int):
+    # the rows of a table at λ = t from its _recurrence: row n is the
+    # recurrence at t applied to row n-1, plus the residual's values, so it
+    # equals the stored row's values whatever the step weights are
+    row = [den]
+    for n, (wa, wb, res) in enumerate(rec):
+        if n:
+            w = map(add, wa, map(mul, wb, repeat(t)))
+            row = list(map(add, [0, *row], map(mul, w, [*row, 0])))
+        for k, c in res:
+            row[k] += _horner(c, t)
+        yield row
+
+
+def _first_non_identity(a, b, steps, before):
     # the first (n, m) before ``before`` in row-major order at which
     # sum_k a[n][k] b[k][m] differs from δ(n, m), or None.  That sum has
     # λ-degree at most D(n, m) = max_k deg a[n][k] + deg b[k][m] (a zero
     # entry adds no product), so its values at λ = 0..D(n, m) decide it
-    # exactly.  One point at a time, the columns of b that point needs are
-    # evaluated on integer numerators, and each row of a as it is reached;
-    # all are dropped after it.
+    # exactly.  At λ = 0 the values are the constant numerators; at each
+    # later point every row comes from the row before through the table's
+    # recurrence (``steps`` holds the step weights of a and of b), plus
+    # the Horner values of the residual, which is empty for a table the
+    # recurrence built.  The values are dropped after each point.
     size = len(a)
     (a, da), (b, db) = _numerators(a), _numerators(b)
     top = max(len(c) for row in (*a, *b) for c in row)
@@ -368,20 +396,22 @@ def _first_non_identity(a, b, before):
     adeg = [[len(c) - 1 if c else none for c in row] for row in a]
     bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
     need = [[max(map(add, adeg[n][m:], bdeg[m])) for m in range(n + 1)] for n in range(size)]
-    stop, hit = before or (size, 0), None
+    stop, hit, recs = before or (size, 0), None, None
     for t in range(max(max(r) for r in need) + 1):
-        cols = {}
-        for n in range(size):
+        if t:
+            # the residuals, once per table, when the first point past 0 needs them
+            recs = recs or (_recurrence(a, da, steps[0]), _recurrence(b, db, steps[1]))
+            rows_a, rows_b = _point_rows(recs[0], da, t), _point_rows(recs[1], db, t)
+        else:
+            rows_a, rows_b = (([c[0] if c else 0 for c in row] for row in x) for x in (a, b))
+        # column m of b at t, from row m down
+        cols = [c[m:] for m, c in enumerate(zip_longest(*rows_b, fillvalue=0))]
+        for n, row in enumerate(rows_a):
             if n > stop[0]:
                 break
-            row = None
             for m in range(n + 1 if n < stop[0] else stop[1]):
                 if t and need[n][m] < t:
                     continue
-                if row is None:
-                    row = _values(a[n], t)
-                if m not in cols:
-                    cols[m] = _values([b[k][m] for k in range(m, size)], t)
                 if sum(map(mul, row[m:], cols[m])) != (da * db if n == m else 0):
                     hit = stop = n, m
                     break
@@ -393,7 +423,8 @@ def check_E04(n_max=40, perturbed=False):
     """the change-of-basis tables are mutually inverse: classical pairs in
     both composition orders, deformed pair in one, plus reconstruction
     of both falling-factorial bases"""
-    s1, s2, s1d, s2d = (fam.triangular_table(k, n_max) for k in ("S1", "S2", "S1deg", "S2deg"))
+    tables = {k: fam.triangular_table(k, n_max) for k in fam.STIRLING_KINDS}
+    s1d, s2d = tables["S1deg"], tables["S2deg"]
     for n in range(min(n_max, 12) + 1):
         for basis, table, by, want in (
             ("deformed", s2d, fam.falling_factorial, fam.falling_factorial_lambda(n)),
@@ -404,13 +435,15 @@ def check_E04(n_max=40, perturbed=False):
                 return {"n": n, "basis": basis}, rebuilt, want
     if perturbed and n_max >= 2:
         row = s1d[2]
-        s1d = (*s1d[:2], (row[0], row[1] + 1, *row[2:]), *s1d[3:])
+        tables["S1deg"] = (*s1d[:2], (row[0], row[1] + 1, *row[2:]), *s1d[3:])
     # the first (n, m) where a product is not the identity, the classical
     # pairs ahead of the deformed one at the same (n, m); its entry is
     # then recomputed as the λ-dot for the counterexample
     found = None
-    for pair, a, b in (("classical", s1, s2), ("classical", s2, s1), ("deformed", s1d, s2d)):
-        at = _first_non_identity(a, b, found and found[0])
+    for pair, ka, kb in (("classical", "S1", "S2"), ("classical", "S2", "S1"),
+                         ("deformed", "S1deg", "S2deg")):
+        a, b = tables[ka], tables[kb]
+        at = _first_non_identity(a, b, (fam._STEP[ka], fam._STEP[kb]), found and found[0])
         if at is not None:
             found = at, pair, a, b
     if found is None:
@@ -429,7 +462,7 @@ def check_E40(m_max=10, k_max=50, perturbed=False):
     closed form, and the λ=0 geometric route all agree"""
     for m in range(m_max + 1):
         num = substitute_mobius(fam.geometric(m), -1).num
-        s = RationalFn(num, _ONE_MINUS_X ** (m + 2)).expand(k_max)
+        s = RationalFn(num, _binomial_power(-LP_ONE, m + 2)).expand(k_max)
         bp = fam.bernoulli_poly(m + 1)
         b0 = bp.eval(0, 0)
         div = m + 1 + (1 if perturbed else 0)
@@ -457,7 +490,7 @@ def check_eulerian(m_max=10, k_max=20, perturbed=False):
         if total != factorial(m):
             return {"m": m, "leg": "coefficient-sum"}, total, as_rational(factorial(m))
         dpow = m + 1 - (1 if perturbed else 0)
-        s = RationalFn(a, _ONE_MINUS_X**dpow).expand(k_max)
+        s = RationalFn(a, _binomial_power(-LP_ONE, dpow)).expand(k_max)
         for k in range(k_max + 1):
             want = as_rational(k**m)
             if s.coeff(k) != want:
@@ -479,7 +512,7 @@ def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
         for r in range(1, r_stop):
             lhs = binomials[r - 1].diag(weights.__getitem__)
             num = _s1_mobius_numerator(m, lambda l: fam.geometric_r(l, r))
-            rhs = RationalFn(num, _ONE_MINUS_X ** (m + r)).expand(order)
+            rhs = RationalFn(num, _binomial_power(-LP_ONE, m + r)).expand(order)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
                 found, r_stop = ({"r": r, "m": m, "coeff": bad[0]}, bad[1], bad[2]), r

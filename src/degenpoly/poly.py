@@ -38,6 +38,12 @@ integer loop: a one-pair ``_lambda_dot`` is 9-15% slower per product on
 the small λ-polynomials of warm CLI requests (2.24 vs 2.58 µs on degree
 <= 4 operands, Python 3.11 on a 2-vCPU Xeon), and a build routed through
 it answered the query-warm benchmark 5-10% slower.
+
+Scalar-factor rule: a factor from a lower rung of the chain scales
+instead of entering the general product.  An int or rational times a
+LambdaPoly scales its numerators and its denominator and reduces once;
+an XPoly times a scalar or a LambdaPoly scales each coefficient, with
+no x-ring dot.  ``__rmul__`` and ``/`` take the same paths.
 """
 
 from __future__ import annotations
@@ -305,6 +311,10 @@ class LambdaPoly(_Exact):
         return LambdaPoly._new([-c for c in self.num], self.den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Rational)):
+            # a scalar factor scales the numerators and the denominator
+            p = other.numerator
+            return LambdaPoly._new([c * p for c in self.num], self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -454,10 +464,13 @@ class XPoly(_Exact):
         return XPoly._raw(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        if isinstance(other, XPoly):
+            return _xpoly_dot(((self, other),))
+        # a scalar or λ-polynomial factor scales each coefficient
+        o = other if is_scalar(other) else LambdaPoly._coerce(other)
         if o is None:
             return NotImplemented
-        return _xpoly_dot(((self, o),))
+        return XPoly._raw(_strip([c * o for c in self.coeffs]))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -555,8 +568,8 @@ def lambda_falling(base, m: int) -> LambdaPoly:
     integer base k it is the diagonal weight attached to x^k by the
     degenerate derivative operator.
     """
-    if m < 0:
-        raise ValueError("falling products need a nonnegative length")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"falling products need a nonnegative int length, got {m!r}")
     b = LambdaPoly.coerce(base)
     acc = LP_ONE
     for j in range(m):

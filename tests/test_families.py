@@ -133,10 +133,11 @@ def test_deformed_tables_at_special_lambda():
 def test_stirling_argument_guards():
     with pytest.raises(ValueError):
         stirling("bogus", 1, 1)
-    with pytest.raises(ValueError):
-        stirling("S1", -1, 0)
-    with pytest.raises(ValueError):
-        stirling("S1", 1, -1)
+    for bad in (-1, True, False):
+        with pytest.raises(ValueError):
+            stirling("S1", bad, 0)
+        with pytest.raises(ValueError):
+            stirling("S2", 3, bad)
 
 
 @pytest.mark.parametrize(
@@ -160,8 +161,10 @@ def test_stirling_argument_guards():
     ],
 )
 def test_every_family_refuses_a_negative_index(family):
-    with pytest.raises(ValueError):
-        family(-1)
+    # a bool is an int to Python but not an index here
+    for bad in (-1, True, False):
+        with pytest.raises(ValueError):
+            family(bad)
 
 
 def test_triangular_table():
@@ -251,8 +254,21 @@ def test_unit_falling_sequence_matches_the_product():
     # the memoised (1)_{k,λ} against the product definition, term by term
     for k in range(61):
         assert families._unit_falling(k) == lambda_falling(1, k)
-    with pytest.raises(ValueError):
-        families._unit_falling(-1)
+    for bad in (-1, True):
+        with pytest.raises(ValueError):
+            families._unit_falling(bad)
+
+
+def test_bernoulli_deg_matches_the_pairwise_sum():
+    # the reciprocal step as a sum() over pairwise products, before it
+    # became one λ-dot, kept as the reference the dot must reproduce
+    s = [LP_ONE]
+    for n in range(1, 41):
+        q = families._e_lambda_quotient
+        s.append(-sum(q(k) * s[n - k] for k in range(1, n + 1) if s[n - k]))
+    for n, want in enumerate(s):
+        got = families._bernoulli_deg(n)
+        assert (got.num, got.den) == (want.num, want.den), n
 
 
 def test_rising_product():

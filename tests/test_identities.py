@@ -13,9 +13,10 @@ from degenpoly.identities import (
     MAX_BOUND,
     REGISTRY,
     Verdict,
-    _ONE_MINUS_X,
     _falling_rows,
     _first_non_identity,
+    _numerators,
+    _recurrence,
     _inner_power_rows,
     _poly_battery,
     _s1_lambda_weight,
@@ -29,8 +30,8 @@ from degenpoly.identities import (
 )
 import degenpoly
 from degenpoly import families as fam
-from degenpoly.poly import LAM, LP_ONE, LP_ZERO, LambdaPoly, XPoly, lambda_falling
-from degenpoly.ratfunc import substitute_mobius
+from degenpoly.poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, lambda_falling
+from degenpoly.ratfunc import _binomial_power, substitute_mobius
 from degenpoly.rational import RAT_ZERO, Rational
 from degenpoly.render import value_from_json
 from degenpoly.series import LAMBDA_RING, Series
@@ -210,7 +211,7 @@ def _s1_mobius_numerator_reference(m, poly_of, bump_l0=False) -> XPoly:
     for l in range(m + 1):
         w = _s1_lambda_weight(m, l) + (1 if bump_l0 and l == 0 else 0)
         p = poly_of(l)
-        acc = acc + w * substitute_mobius(p, -1).num * _ONE_MINUS_X ** (m - p.degree)
+        acc = acc + w * substitute_mobius(p, -1).num * (XP_ONE - X) ** (m - p.degree)
     return acc
 
 
@@ -225,6 +226,16 @@ def test_s1_mobius_numerator_matches_the_per_l_reference(poly_of, bump_l0):
     for m in range(11):
         got = _s1_mobius_numerator(m, poly_of, bump_l0=bump_l0)
         assert got.coeffs == _s1_mobius_numerator_reference(m, poly_of, bump_l0).coeffs, m
+
+
+def test_one_minus_x_power_matches_repeated_products():
+    # (1-x)^k from its binomial coefficients, as T7, E40, E44 and E50 build
+    # it, against k products by 1 - x
+    acc = XP_ONE
+    for k in range(21):
+        got = _binomial_power(-LP_ONE, k)
+        assert [(c.num, c.den) for c in got.coeffs] == [(c.num, c.den) for c in acc.coeffs], k
+        acc = acc * (XP_ONE - X)
 
 
 def _inner_power_rows_reference(order, sign):
@@ -358,11 +369,101 @@ def _first_bad_product(a, b):
     return None
 
 
+def _steps(ka, kb):
+    return fam._STEP[ka], fam._STEP[kb]
+
+
+PAIRS = (("S1", "S2"), ("S2", "S1"), ("S1deg", "S2deg"))
+
+
 def test_the_point_check_agrees_with_the_symbolic_product_on_true_tables():
     s1, s2, s1d, s2d = (fam.triangular_table(k, 20) for k in ("S1", "S2", "S1deg", "S2deg"))
-    for a, b in ((s1, s2), (s2, s1), (s1d, s2d)):
+    for (a, b), kinds in zip(((s1, s2), (s2, s1), (s1d, s2d)), PAIRS):
         assert _first_bad_product(a, b) is None
-        assert _first_non_identity(a, b, None) is None
+        assert _first_non_identity(a, b, _steps(*kinds), None) is None
+
+
+def _first_non_identity_by_horner(a, b, before):
+    # the point check as it was before the rows came from their recurrence,
+    # kept as the reference the recurrence route must reproduce: every
+    # entry a row or column needs is evaluated at each λ = t by Horner's rule
+    size = len(a)
+    (a, da), (b, db) = _numerators(a), _numerators(b)
+
+    def values(entries, t):
+        out = []
+        for c in entries:
+            v = 0
+            for x in reversed(c):
+                v = v * t + x
+            out.append(v)
+        return out
+
+    top = max(len(c) for row in (*a, *b) for c in row)
+    none = -2 * top
+    adeg = [[len(c) - 1 if c else none for c in row] for row in a]
+    bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
+    need = [[max(a + b for a, b in zip(adeg[n][m:], bdeg[m])) for m in range(n + 1)]
+            for n in range(size)]
+    stop, hit = before or (size, 0), None
+    for t in range(max(max(r) for r in need) + 1):
+        cols = {}
+        for n in range(size):
+            if n > stop[0]:
+                break
+            row = None
+            for m in range(n + 1 if n < stop[0] else stop[1]):
+                if t and need[n][m] < t:
+                    continue
+                if row is None:
+                    row = values(a[n], t)
+                if m not in cols:
+                    cols[m] = values([b[k][m] for k in range(m, size)], t)
+                if sum(x * y for x, y in zip(row[m:], cols[m])) != (da * db if n == m else 0):
+                    hit = stop = n, m
+                    break
+    return hit
+
+
+def _off_by_one(step):
+    # a wrong recurrence: every step weight a + bλ becomes a + 1 + bλ
+    def wrong(n, k):
+        a, b = step(n, k)
+        return a + 1, b
+
+    return wrong
+
+
+def test_the_recurrence_route_agrees_with_horner_on_true_tables():
+    tables = {k: fam.triangular_table(k, 20) for k in fam.STIRLING_KINDS}
+    for ka, kb in PAIRS:
+        a, b = tables[ka], tables[kb]
+        steps = _steps(ka, kb)
+        wrong = tuple(map(_off_by_one, steps))
+        for before in (None, (20, 20), (13, 5), (7, 0)):
+            want = _first_non_identity_by_horner(a, b, before)
+            assert want is None
+            assert _first_non_identity(a, b, steps, before) is None
+            # exactness does not depend on the recurrence
+            assert _first_non_identity(a, b, wrong, before) is None
+
+
+def test_the_residual_rows_of_true_tables_are_empty():
+    for kind in fam.STIRLING_KINDS:
+        num, den = _numerators(fam.triangular_table(kind, 40))
+        rec = _recurrence(num, den, fam._STEP[kind])
+        assert len(rec) == 41
+        assert [res for _, _, res in rec] == [[]] * 41, kind
+
+
+def test_the_residual_of_a_corrupted_entry_covers_it_and_the_row_after():
+    rows = [list(r) for r in fam.triangular_table("S2deg", 12)]
+    rows[7][3] = rows[7][3] + LAM
+    num, den = _numerators(rows)
+    res = [r for _, _, r in _recurrence(num, den, fam._STEP["S2deg"])]
+    assert [n for n, r in enumerate(res) if r] == [7, 8]
+    assert res[7] == [(3, (0, 1))]
+    assert [k for k, _ in res[8]] == [3, 4]
 
 
 def _vanishing_on_points(top):
@@ -402,6 +503,12 @@ def test_E04_point_check_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
     monkeypatch.setattr(fam, "triangular_table", corrupted)
     s1d, s2d = (fam.triangular_table(t, N_MAX_CORRUPT) for t in ("S1deg", "S2deg"))
     (bad_n, bad_m), val = _first_bad_product(s1d, s2d)
+    # the recurrence route, with the tables' own steps and with wrong ones,
+    # finds what the Horner route finds
+    steps = _steps("S1deg", "S2deg")
+    assert _first_non_identity_by_horner(s1d, s2d, None) == (bad_n, bad_m)
+    assert _first_non_identity(s1d, s2d, steps, None) == (bad_n, bad_m)
+    assert _first_non_identity(s1d, s2d, tuple(map(_off_by_one, steps)), None) == (bad_n, bad_m)
     v = check_E04(n_max=N_MAX_CORRUPT)
     assert not v.ok
     assert v.counterexample["indices"] == {"n": bad_n, "m": bad_m, "pair": "deformed"}
@@ -417,6 +524,7 @@ def test_the_point_check_reports_the_first_of_two_faults():
     s2d[13][5] = s2d[13][5] + 1
     s1d[15][3] = s1d[15][3] + 7
     assert _first_bad_product(s1d, s2d)[0] == (13, 5)
-    assert _first_non_identity(s1d, s2d, None) == (13, 5)
-    assert _first_non_identity(s1d, s2d, (13, 5)) is None
-    assert _first_non_identity(s1d, s2d, (14, 0)) == (13, 5)
+    steps = _steps("S1deg", "S2deg")
+    assert _first_non_identity(s1d, s2d, steps, None) == (13, 5)
+    assert _first_non_identity(s1d, s2d, steps, (13, 5)) is None
+    assert _first_non_identity(s1d, s2d, steps, (14, 0)) == (13, 5)

@@ -125,8 +125,9 @@ def test_lambda_falling_values():
     assert lambda_falling(3, 2) == LambdaPoly([9, -3])
     # polynomial base: (1-λ)_{2,λ} = (1-λ)(1-2λ)
     assert lambda_falling(LambdaPoly([1, -1]), 2) == LambdaPoly([1, -3, 2])
-    with pytest.raises(ValueError):
-        lambda_falling(1, -1)
+    for bad in (-1, True, False):
+        with pytest.raises(ValueError):
+            lambda_falling(1, bad)
 
 
 def test_lambda_substitute():
@@ -454,3 +455,43 @@ def test_eval_x_examples_match_the_lambda_poly_horner(v):
     for p in cases:
         got, want = p.eval_x(v), eval_x_by_horner(p, v)
         assert (got.num, got.den) == (want.num, want.den)
+
+
+# ints (zero, negative, past a machine word), rationals and bools
+scalars = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30), rationals,
+                    wide_rationals, st.booleans())
+
+
+def _lfields(p):
+    assert type(p) is LambdaPoly
+    return p.num, p.den
+
+
+@given(lambda_polys, mul_xpolys, sparse_lambda_polys, scalars)
+@settings(max_examples=200)
+def test_a_scalar_factor_matches_the_general_product(p, x, lp, s):
+    # a scalar times a LambdaPoly scales its fields; a scalar or LambdaPoly
+    # times an XPoly scales each coefficient: both agree field by field with
+    # the general product of the factor embedded as a constant
+    want = _lfields(p * LambdaPoly.const(s))
+    assert _lfields(p * s) == _lfields(s * p) == want
+    xwant = _xfields(poly._xpoly_dot(((x, XPoly.const(s)),)))
+    assert _xfields(x * s) == _xfields(s * x) == xwant
+    xwant = _xfields(poly._xpoly_dot(((x, XPoly.const(lp)),)))
+    assert _xfields(x * lp) == _xfields(lp * x) == xwant
+    if s:
+        inv = LambdaPoly.const(Rational(1) / s)
+        assert _lfields(p / s) == _lfields(p * inv)
+        assert _xfields(x / s) == _xfields(poly._xpoly_dot(((x, XPoly.const(inv)),)))
+
+
+def test_scalar_factor_examples_match_the_general_product():
+    third = LambdaPoly([Rational(1, 3), Rational(-2, 9)])  # den 9
+    for p in (LP_ZERO, LP_ONE, LAM, third, LambdaPoly([4, 6])):
+        for s in (0, -1, 3, 10**40, Rational(3, 2), Rational(-9, 4), True, False):
+            assert _lfields(p * s) == _lfields(p * LambdaPoly.const(s)), (p, s)
+            x = XPoly([p, 0, third])
+            assert _xfields(x * s) == _xfields(poly._xpoly_dot(((x, XPoly.const(s)),))), (p, s)
+    # the scale reduces once: 3 * (1/3 - 2/9 λ) = (3 - 2λ)/3
+    assert _lfields(third * 3) == ((3, -2), 3)
+    assert _lfields(third * Rational(9, 2)) == ((3, -2), 2)
