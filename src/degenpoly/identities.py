@@ -33,7 +33,6 @@ from .poly import (
     LambdaPoly,
     XPoly,
     _strip,
-    lambda_falling,
 )
 from .series import LAMBDA_RING, XPOLY_RING, Series, first_mismatch
 from .ratfunc import RationalFn, _binomial_power, gamma_moment, substitute_mobius
@@ -220,23 +219,30 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
                 return {"g": g_label, "f": f_label, "coeff": bad[0]}, bad[1], bad[2]
 
 
+def _t4_right_sides(e: Series, mix_fc) -> list:
+    # T4's right sides: for x^n, n < len(mix_fc), e times the second-kind
+    # Bell polynomial N/D of degree n, built once, then for the mix
+    # sum_n mix_fc[n] x^n the same combination of those.  Each is expanded
+    # once as (e·N)/D: e·N is exact up to x^order and expand reads no
+    # further, so it is the series e * (N/D).expand(order) without a λ-ring
+    # series product (GF-bern's defining-equation leg still takes one)
+    e_poly, order = XPoly(e.coeffs), e.order
+    rows, mix = [], Series(e.var, order, [], LAMBDA_RING)
+    for n, c in enumerate(mix_fc):
+        rf = fam.bell_second_deg(n)
+        rows.append(RationalFn(e_poly * rf.num, rf.den).expand(order))
+        mix = mix + rows[-1].scaled(c)
+    return rows + [mix]
+
+
 @_check("T4", fault="adds k to the sampled value at index k")
 def check_T4(d_max=6, order=16, perturbed=False):
     """deformed exponential sums sampled by a polynomial equal the deformed
     exponential times the matching second-kind deformed Bell combination"""
     e = fam.e_lambda_series(order, "x")
+    # the battery is x^0..x^d_max and then one mix of them
     battery = _poly_battery(d_max)
-    # the battery is x^0..x^d_max and then one mix of them: the right side
-    # of x^n is e times the expanded second-kind Bell polynomial of degree
-    # n, built once, and the mix's is the same combination of those
-    mix_fc = battery[-1][0]
-    mix = Series("x", order, [], LAMBDA_RING)
-    for n, (fc, f_label) in enumerate(battery):
-        if n <= d_max:
-            rhs = e * fam.bell_second_deg(n).expand(order)
-            mix = mix + rhs.scaled(mix_fc[n])
-        else:
-            rhs = mix
+    for (fc, f_label), rhs in zip(battery, _t4_right_sides(e, battery[-1][0])):
         f = XPoly(fc)
         lhs = e.diag(lambda k: f.eval(k, 0) + (k if perturbed else 0))
         bad = first_mismatch(lhs, rhs)
@@ -507,11 +513,12 @@ def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
     # each row of weights (k)_{m,λ} serves every r, so m runs outside; the
     # first failure in (r, m) order is kept, and after one at r only
     # smaller r can still come before it
+    geometric = [[fam.geometric_r(l, r) for l in range(m_max + 1)] for r in range(1, r_max + 1)]
     found, r_stop = None, r_max + 1
     for m, weights in zip(range(m_max + 1), _falling_rows(order)):
         for r in range(1, r_stop):
             lhs = binomials[r - 1].diag(weights.__getitem__)
-            num = _s1_mobius_numerator(m, lambda l: fam.geometric_r(l, r))
+            num = _s1_mobius_numerator(m, geometric[r - 1].__getitem__)
             rhs = RationalFn(num, _binomial_power(-LP_ONE, m + r)).expand(order)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
@@ -589,7 +596,7 @@ def check_degeneration(n_max=20, perturbed=False):
                 return {"family": "stirling2_deg", "n": n, "k": k}, s2, fam.stirling("S2", n, k)
     # Bell numbers from the additive triangle, no tables involved
     row = [1]
-    for n in range(min(n_max, 15) + 1):
+    for n in range(n_max + 1):
         got = fam.bell_poly(n).eval(1, 0)
         if got != row[0]:
             return {"family": "bell-numbers", "n": n}, got, as_rational(row[0])
@@ -597,6 +604,15 @@ def check_degeneration(n_max=20, perturbed=False):
         for v in row:
             nxt.append(nxt[-1] + v)
         row = nxt
+
+
+def _unit_fallings():
+    # (1)_{m+1,λ} for m = 0, 1, ...: one running product, each the one
+    # before times 1 - mλ, sharing no code with families' _unit_falling memo
+    u = LP_ONE
+    for m in count():
+        u = u * LambdaPoly._new([1, -m])
+        yield u
 
 
 _GF_BUILDERS = {
@@ -620,13 +636,8 @@ def _gf_consistency(family, order=16, perturbed=False):
     if family == "bernoulli_deg":
         # the series must also solve its defining equation: product with
         # (deformed exponential - 1)/t is exactly 1
-        shifted = Series(
-            "t",
-            order,
-            [lambda_falling(1, m + 1) / factorial(m + 1) for m in range(order + 1)],
-            LAMBDA_RING,
-        )
-        prod = s * shifted
+        shifted = [u / factorial(m + 1) for m, u in zip(range(order + 1), _unit_fallings())]
+        prod = s * Series("t", order, shifted, LAMBDA_RING)
         for n in range(order + 1):
             want = LP_ONE if n == 0 else LP_ZERO
             if prod.coeff(n) != want:

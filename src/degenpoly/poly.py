@@ -23,9 +23,10 @@ once for all three types, so mixed arithmetic such as ``2 * p - q / 3``
 works in any combination.
 
 A coefficient ring is its type: LambdaPoly and XPoly carry ``name``,
-``zero``, ``one``, ``coerce``, ``invert`` and ``_dot`` (the kernels below).
+``zero``, ``one``, ``coerce`` and ``_dot`` (the kernels below).
 A unit is a nonzero λ-free rational constant, in whichever type it is
-held; ``invert`` raises NonInvertibleError on anything else.
+held; ``_unit_value`` returns it as a rational and raises
+NonInvertibleError on anything else, so its inverse is a scalar factor.
 
 Sum-of-products rule: a product, and any sum of products, is one ring
 dot.  ``_lambda_dot`` and ``_xpoly_dot`` (at the end of this module)
@@ -128,7 +129,7 @@ class _Exact:
     type one step down the embedding chain lifted into the subclass,
     else None), ``__add__``, ``__neg__``, ``__mul__``, ``text`` and its
     one value ``one``; everything here follows from those.  The type is
-    the ring: ``coerce`` and ``invert`` are its embedding and inversion.
+    the ring: ``coerce`` is its embedding.
     """
 
     __slots__ = ()
@@ -140,11 +141,6 @@ class _Exact:
         if v is None:
             raise TypeError(f"{value!r} does not embed into {cls.__name__}")
         return v
-
-    @classmethod
-    def invert(cls, value):
-        """1/value in this type; NonInvertibleError unless value is a unit."""
-        return cls.coerce(RAT_ONE / _unit_value(value))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -172,8 +168,8 @@ class _Exact:
         return self * (RAT_ONE / other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"powers must be nonnegative integers, got {n!r}")
         acc = self.one
         for _ in range(n):
             acc = acc * self
@@ -229,6 +225,8 @@ class LambdaPoly(_Exact):
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "LambdaPoly":
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"monomial degrees must be nonnegative ints, got {degree!r}")
         q = _rat(coeff)
         return cls._new([0] * degree + [q.numerator], q.denominator)
 
@@ -388,6 +386,8 @@ class XPoly(_Exact):
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "XPoly":
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"monomial degrees must be nonnegative ints, got {degree!r}")
         c = LambdaPoly.coerce(coeff)
         if not c:
             return XP_ZERO

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 from .rational import Rational
 from .poly import LP_ONE, XP_ONE, LambdaPoly, XPoly, _Exact, _unit_value, _xpoly_dot
-from .series import Series, _divide
+from .series import Series, _check_order, _divide
 
 __all__ = [
     "RationalFn",
@@ -86,8 +86,7 @@ class RationalFn(_Exact):
 
     def expand(self, order: int) -> Series:
         """Power-series expansion in x to the given order, λ kept symbolic (series._divide)."""
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
+        _check_order(order)
         out = _divide(self.num.coeffs, self.den.coeffs, order, LambdaPoly)
         return Series._raw("x", order, out, LambdaPoly)
 

@@ -15,6 +15,10 @@ truncate() only shortens.
 
 reciprocal() needs a unit constant term (poly's unit rule); it and
 ratfunc's RationalFn.expand both solve den * s = num through _divide.
+A quotient's constant term is a unit, so 1/den_0 is a rational q: each
+quotient coefficient is multiplied by q through poly's scalar-factor
+path, and not at all when q is 1 (a denominator such as 1 + λx or
+1 - x(e_λ - 1)).
 
 Kernel rule: each coefficient of a product, quotient, exp or compose
 is one ring dot, as poly's sum-of-products rule says.
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .poly import LambdaPoly, NonInvertibleError, XPoly, lambda_falling
+from .rational import RAT_ONE
+from .poly import LambdaPoly, NonInvertibleError, XPoly, _unit_value, lambda_falling
 
 __all__ = [
     "Series",
@@ -42,14 +47,24 @@ XPOLY_RING = XPoly
 
 def _divide(num: Sequence, den: Sequence, order: int, ring: type) -> tuple:
     """s_0..s_order of num/den over ring, den[0] a unit: one ring dot over
-    den's own terms per den_0 s_n = num_n - sum_{k=1..n} den_k s_{n-k}."""
-    inv, dot, tail = ring.invert(den[0]), ring._dot, den[1 : order + 1]
+    den's own terms per den_0 s_n = num_n - sum_{k=1..n} den_k s_{n-k}.
+
+    The unit rule: q = 1/den_0 is a rational, and each s_n is scaled by
+    it through poly's scalar-factor path, only when q is not 1.
+    """
+    q, dot, tail = RAT_ONE / _unit_value(den[0]), ring._dot, den[1 : order + 1]
     out = []
     for n in range(order + 1):
         acc = dot(zip(tail, reversed(out)))
-        # the constant inv first: a product loops over its left factor's terms
-        out.append(inv * (num[n] - acc if n < len(num) else -acc))
+        c = num[n] - acc if n < len(num) else -acc
+        out.append(c if q == 1 else c * q)
     return tuple(out)
+
+
+def _check_order(order) -> None:
+    # a bool or a float is refused too, as the sequence readers do
+    if type(order) is not int or order < 0:
+        raise ValueError(f"series order must be nonnegative and an int, got {order!r}")
 
 
 class Series:
@@ -58,8 +73,7 @@ class Series:
     __slots__ = ("var", "order", "ring", "coeffs")
 
     def __init__(self, var: str, order: int, coeffs: Sequence, ring: type):
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
+        _check_order(order)
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients for order {order}")
         cs = [ring.coerce(c) for c in coeffs]
@@ -94,8 +108,7 @@ class Series:
             raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
 
     def truncate(self, order: int) -> "Series":
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
+        _check_order(order)
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:

@@ -21,6 +21,8 @@ from degenpoly.identities import (
     _poly_battery,
     _s1_lambda_weight,
     _s1_mobius_numerator,
+    _t4_right_sides,
+    _unit_fallings,
     check_E04,
     check_L2,
     run_all,
@@ -355,6 +357,44 @@ def test_falling_rows_match_lambda_falling():
         for k, w in enumerate(row):
             want = lambda_falling(k, m)
             assert (w.num, w.den) == (want.num, want.den), (m, k)
+
+
+def _series_fields(s: Series):
+    return s.var, s.order, s.ring, tuple((c.num, c.den) for c in s.coeffs)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 16, 32, 64])
+def test_T4_right_sides_match_e_times_each_expanded_quotient(order):
+    # the right sides T4 built before it expanded e·N over D once: e times
+    # the expansion of each second-kind Bell quotient N/D, then the mix as
+    # the same combination of those rows
+    e = fam.e_lambda_series(order, "x")
+    mix_fc = _poly_battery(6)[-1][0]
+    want = [e * fam.bell_second_deg(n).expand(order) for n in range(7)]
+    mix = Series("x", order, [], LAMBDA_RING)
+    for row, c in zip(want, mix_fc):
+        mix = mix + row.scaled(c)
+    got = _t4_right_sides(e, mix_fc)
+    assert [_series_fields(s) for s in got] == [_series_fields(s) for s in want + [mix]]
+
+
+def test_unit_fallings_match_lambda_falling():
+    # GF-bern's running product against the product built from scratch
+    for m, u in zip(range(65), _unit_fallings()):
+        want = lambda_falling(1, m + 1)
+        assert (u.num, u.den) == (want.num, want.den), m
+
+
+def test_DEG_reads_the_bell_numbers_up_to_n_max(monkeypatch):
+    # every family that reaches the Bell numbers is off by one at n = 18,
+    # so the degeneration legs agree and only the additive-triangle leg,
+    # which once stopped at n = 15, can see it
+    for name in ("bell_poly", "bell_deg", "bell_partial_deg"):
+        real = getattr(fam, name)
+        monkeypatch.setattr(fam, name, lambda n, real=real: real(n) + (1 if n == 18 else 0))
+    v = run_check("DEG", {"n_max": 20})
+    assert not v.ok and v.counterexample["indices"] == {"family": "bell-numbers", "n": 18}
+    assert run_check("DEG", {"n_max": 17}).ok
 
 
 def _first_bad_product(a, b):

@@ -196,6 +196,22 @@ def test_rendering_a_constant_term_of_several_lambda_terms():
 def test_pow_guard():
     with pytest.raises(ValueError):
         X ** (-1)
+    # a bool or a float is not read as an int, and a negative degree is not
+    # read as 0: each exponent and each monomial degree is refused
+    for call in (
+        lambda: LAM ** True,
+        lambda: X ** False,
+        lambda: X ** 2.0,
+        lambda: RationalFn(X) ** True,
+        lambda: LambdaPoly.monomial(1, True),
+        lambda: XPoly.monomial(1, True),
+        lambda: LambdaPoly.monomial(1, 1.0),
+        lambda: XPoly.monomial(1, 2.0),
+        lambda: LambdaPoly.monomial(3, -1),
+        lambda: XPoly.monomial(3, -2),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize(

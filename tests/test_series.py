@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from degenpoly import RATIONAL_RING
 from degenpoly.rational import Rational
-from degenpoly.poly import LAM, X, LambdaPoly, XPoly, lambda_falling
+from degenpoly.poly import LAM, X, XP_ONE, LambdaPoly, XPoly, _unit_value, lambda_falling
 from degenpoly.series import (
     LAMBDA_RING,
     XPOLY_RING,
@@ -17,7 +17,8 @@ from degenpoly.series import (
     diag_weight,
     first_mismatch,
 )
-from degenpoly.families import e_lambda_series, exp_series, geom_series
+from degenpoly.families import binom_series, e_lambda_series, exp_series, geom_series
+from degenpoly.ratfunc import RationalFn
 
 rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))
 unit_series = st.builds(
@@ -297,6 +298,26 @@ def test_truncate_refuses_a_negative_order():
     with pytest.raises(ValueError, match="series order must be nonnegative"):
         s.truncate(-1)
     assert s.truncate(0).coeffs == (1,)
+    # a bool or a float is not read as an int either
+    for order in (True, False, 1.0):
+        with pytest.raises(ValueError, match="series order must be nonnegative and an int"):
+            s.truncate(order)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Series("t", True, [1], LAMBDA_RING),
+    lambda: Series("t", 2.0, [1], XPOLY_RING),
+    lambda: Series("t", -1, [], LAMBDA_RING),
+    lambda: exp_series(True),
+    lambda: e_lambda_series(True),
+    lambda: geom_series(True),
+    lambda: binom_series(2, True),
+    lambda: RationalFn(X, XP_ONE - X).expand(True),
+], ids=["Series-bool", "Series-float", "Series-negative", "exp_series", "e_lambda_series",
+        "geom_series", "binom_series", "expand"])
+def test_a_series_order_must_be_an_int(build):
+    with pytest.raises(ValueError, match="series order must be nonnegative and an int"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +338,7 @@ def _mul_reference(a: Series, b: Series) -> tuple:
 
 
 def _reciprocal_reference(s: Series) -> tuple:
-    inv = s.ring.invert(s.coeffs[0])
+    inv = s.ring.coerce(1 / _unit_value(s.coeffs[0]))
     out = [s.ring.zero] * (s.order + 1)
     out[0] = inv
     a = s.coeffs
@@ -327,6 +348,21 @@ def _reciprocal_reference(s: Series) -> tuple:
             if a[k]:
                 acc = acc + a[k] * out[n - k]
         out[n] = -(inv * acc)
+    return tuple(out)
+
+
+def _divide_reference(num, den, order: int, ring: type) -> tuple:
+    # num/den term by term with the step series._divide took before the unit
+    # rule: 1/den_0 as a ring element, times every coefficient through the
+    # general ring product
+    inv = ring.coerce(1 / _unit_value(den[0]))
+    out = []
+    for n in range(order + 1):
+        acc = ring.zero
+        for k in range(1, min(n, len(den) - 1) + 1):
+            if den[k]:
+                acc = acc + den[k] * out[n - k]
+        out.append(inv * (num[n] - acc if n < len(num) else -acc))
     return tuple(out)
 
 
@@ -449,6 +485,33 @@ UNIT_HEADS = st.sampled_from([Rational(1), Rational(-1), Rational(1, 2), Rationa
 def test_reciprocal_matches_the_per_term_reference(name, data):
     s = data.draw(series_in(name, valuation=0, head=data.draw(UNIT_HEADS)))
     _same(s.reciprocal().coeffs, _reciprocal_reference(s))
+
+
+# the unit 1, where a quotient coefficient is not multiplied at all, and
+# units whose inverse scales it
+DEN_HEADS = [Rational(1), Rational(2), Rational(-2, 3), Rational(1, 3)]
+DEN_IDS = ["1", "2", "minus-2-3rds", "1-3rd"]
+
+
+@pytest.mark.parametrize("head", DEN_HEADS, ids=DEN_IDS)
+@pytest.mark.parametrize("name", ["lambda", "xpoly"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_reciprocal_matches_the_invert_then_multiply_reference(name, head, data):
+    s = data.draw(series_in(name, valuation=0, head=head))
+    _same(s.reciprocal().coeffs, _divide_reference((s.ring.one,), s.coeffs, s.order, s.ring))
+
+
+@pytest.mark.parametrize("head", DEN_HEADS, ids=DEN_IDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_expand_matches_the_invert_then_multiply_reference(head, data):
+    # RationalFn.expand always divides over the λ-ring
+    num = XPoly(data.draw(st.lists(lambda_polys, max_size=5)))
+    den = XPoly([head, *data.draw(st.lists(lambda_polys, max_size=4))])
+    order = data.draw(ORDERS)
+    s = RationalFn(num, den).expand(order)
+    _same(s.coeffs, _divide_reference(num.coeffs, den.coeffs, order, LAMBDA_RING))
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
