@@ -41,7 +41,7 @@ from operator import mul
 
 from .rational import RAT_ONE, Rational
 from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly
-from .series import LAMBDA_RING, XPOLY_RING, Series
+from .series import LAMBDA_RING, XPOLY_RING, Series, _check_order
 from .ratfunc import RationalFn, substitute_mobius
 
 __all__ = [
@@ -300,11 +300,13 @@ def eulerian_poly(m: int) -> XPoly:
 
 def exp_series(order: int) -> Series:
     """exp(t): coefficients 1/n!."""
+    _check_order(order)
     return Series("t", order, [Rational(1, factorial(n)) for n in range(order + 1)], LAMBDA_RING)
 
 
 def e_lambda_series(order: int, var: str = "t") -> Series:
     """Deformed exponential at x = 1: coefficients (1)_{n,λ}/n!."""
+    _check_order(order)
     return Series(
         var,
         order,
@@ -315,6 +317,7 @@ def e_lambda_series(order: int, var: str = "t") -> Series:
 
 def geom_series(order: int) -> Series:
     """1/(1-x): all coefficients 1."""
+    _check_order(order)
     return Series("x", order, [1] * (order + 1), LAMBDA_RING)
 
 
@@ -322,6 +325,7 @@ def binom_series(r: int, order: int) -> Series:
     """(1-x)^(-r): coefficients C(r+k-1, k)."""
     if type(r) is not int or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
+    _check_order(order)
     return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], LAMBDA_RING)
 
 
@@ -361,5 +365,6 @@ def bernoulli_deg_gf(order: int) -> Series:
 
     Built as the reciprocal of (deformed exponential - 1)/t.
     """
+    _check_order(order)
     coeffs = [_e_lambda_quotient(m) for m in range(order + 1)]
     return Series("t", order, coeffs, LAMBDA_RING).reciprocal()

@@ -8,10 +8,14 @@ with both values.  Checks are registered with a deliberate fault
 fail; a healthy suite passes normally and fails in exactly the
 targeted way under its control.
 
-A check is a function decorated with ``@_check(id, fault=...)``: its
-docstring is the description, its integer keyword defaults are the
-bounds a caller may override, and its body returns None on success or
-``(indices, lhs, rhs)`` for the first failure it finds.
+A check is a generator function decorated with ``@_check(id, fault=...)``:
+its docstring is the description, its integer keyword defaults are the
+bounds a caller may override, and its body yields ``(indices, lhs, rhs)``
+for each comparison it makes.  The decorator does all the comparing: a
+``Series`` pair by ``first_mismatch``, with the first differing
+coefficient added to the indices as ``"coeff"``, any other pair by
+``==``.  The first pair that differs is the counterexample, and no
+operand after it is computed; a body that runs out has passed.
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -85,17 +89,29 @@ def _check_bound(check_id: str, name: str, value) -> None:
         raise ValueError(f"{check_id}: {name} must be at most {MAX_BOUND}, got {value}")
 
 
+# CO_GENERATOR: set in the flags of a generator function's code object;
+# read there so that importing the package does not load inspect
+_CO_GENERATOR = 0x20
+
+
 def _check(check_id: str, fault: str, **fixed):
     """Register the decorated check body under check_id.
 
     Keywords in ``fixed`` are bound into every call; they lead ``params``
     but cannot be overridden.  The returned wrapper takes keyword
     arguments only (the body's parameters that have defaults), validates
-    the bounds (each must be an int in 0..MAX_BOUND) and turns the body's
-    result into a Verdict.
+    the bounds (each must be an int in 0..MAX_BOUND) and compares the
+    ``(indices, lhs, rhs)`` triples the body yields until one differs: a
+    ``Series`` pair by ``first_mismatch``, adding ``"coeff"`` to the
+    indices, any other pair by ``==``.  A body that is not a generator
+    function is refused with TypeError: a triple it returned would be
+    misread as a stream of comparisons.
     """
 
     def register(body):
+        if not body.__code__.co_flags & _CO_GENERATOR:
+            raise TypeError(f"{check_id}: a check body must be a generator function "
+                            "that yields (indices, lhs, rhs)")
         # the parameters with defaults are the last co_argcount names the
         # body's code lists, in order
         code, values = body.__code__, body.__defaults__
@@ -113,18 +129,17 @@ def _check(check_id: str, fault: str, **fixed):
             for name in bounds:
                 _check_bound(check_id, name, call[name])
             params = {**fixed, **{name: call[name] for name in bounds}}
-            failure = body(**fixed, **call)
-            if failure is None:
-                return Verdict(check_id, "pass", dict(params), description, params)
-            indices, lhs, rhs = failure
-            return Verdict(
-                check_id,
-                "fail",
-                dict(params),
-                description,
-                params,
-                {"indices": indices, "lhs": lhs, "rhs": rhs},
-            )
+            for indices, lhs, rhs in body(**fixed, **call):
+                if isinstance(lhs, Series):
+                    bad = first_mismatch(lhs, rhs)
+                    if bad is None:
+                        continue
+                    indices, lhs, rhs = {**indices, "coeff": bad[0]}, bad[1], bad[2]
+                elif lhs == rhs:
+                    continue
+                counterexample = {"indices": indices, "lhs": lhs, "rhs": rhs}
+                return Verdict(check_id, "fail", dict(params), description, params, counterexample)
+            return Verdict(check_id, "pass", dict(params), description, params)
 
         params = {**fixed, **{name: defaults[name] for name in bounds}}
         _CHECKS.append(IdentityCheck(check_id, description, params, run, fault))
@@ -174,10 +189,7 @@ def check_T1(n_max=16, perturbed=False):
         moments = [XPoly.monomial(p.coeff(k), k) for k in range(p.degree + 1)]
         if perturbed:
             moments = [XPoly()] + moments  # sneak in an extra factor of y
-        lhs = gamma_moment(moments)
-        rhs = fam.geometric_deg(n)
-        if lhs != rhs:
-            return {"n": n}, lhs, rhs
+        yield {"n": n}, gamma_moment(moments), fam.geometric_deg(n)
 
 
 @_check("L2", fault="puts weight 2 on x^1, doubling the S2(1, 1) term")
@@ -190,9 +202,7 @@ def check_L2(n_max=16, perturbed=False):
         lhs = g.diag(lambda k: k**n)
         # f = x^n, with weight 2 under the control at n = 1
         fc = (0,) * n + (2 if perturbed and n == 1 else 1,)
-        bad = first_mismatch(lhs, transform(fc))
-        if bad is not None:
-            return {"n": n, "coeff": bad[0]}, bad[1], bad[2]
+        yield {"n": n}, lhs, transform(fc)
 
 
 @_check("T3", fault="samples the polynomial at k+1 instead of k")
@@ -213,10 +223,7 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
     for g_label, g in bases:
         transform = _s2_transform(g, top)
         for samples, fc, f_label in battery:
-            lhs = g.diag(samples.__getitem__)
-            bad = first_mismatch(lhs, transform(fc))
-            if bad is not None:
-                return {"g": g_label, "f": f_label, "coeff": bad[0]}, bad[1], bad[2]
+            yield {"g": g_label, "f": f_label}, g.diag(samples.__getitem__), transform(fc)
 
 
 def _t4_right_sides(e: Series, mix_fc) -> list:
@@ -244,10 +251,7 @@ def check_T4(d_max=6, order=16, perturbed=False):
     battery = _poly_battery(d_max)
     for (fc, f_label), rhs in zip(battery, _t4_right_sides(e, battery[-1][0])):
         f = XPoly(fc)
-        lhs = e.diag(lambda k: f.eval(k, 0) + (k if perturbed else 0))
-        bad = first_mismatch(lhs, rhs)
-        if bad is not None:
-            return {"f": f_label, "coeff": bad[0]}, bad[1], bad[2]
+        yield {"f": f_label}, e.diag(lambda k: f.eval(k, 0) + (k if perturbed else 0)), rhs
 
 
 def _inner_power_rows(order: int, sign: int) -> list:
@@ -270,13 +274,8 @@ def check_T5_T6(n_max=12, order=16, perturbed=False):
         composed = Series("x", order, [bell.coeff(0)] + [
             LAMBDA_RING._dot(zip(row, bell.coeffs[1:])) for row in rows
         ], LAMBDA_RING)
-        bad = first_mismatch(rf.expand(order), composed)
-        if bad is not None:
-            return {"n": n, "coeff": bad[0]}, bad[1], bad[2]
-        back = rf.substituted(-LAM)
-        first = RationalFn(bell)
-        if back != first:
-            return {"n": n, "leg": "inverse"}, back, first
+        yield {"n": n}, rf.expand(order), composed
+        yield {"n": n, "leg": "inverse"}, rf.substituted(-LAM), RationalFn(bell)
 
 
 def _s1_lambda_weight(m: int, l: int) -> LambdaPoly:
@@ -315,8 +314,7 @@ def check_T7(m_max=10, k_max=16, perturbed=False):
         acc = LP_ZERO
         for k in range(k_max + 1):
             acc = acc + falling[k]
-            if s.coeff(k) != acc:
-                return {"m": m, "k": k}, s.coeff(k), acc
+            yield {"m": m, "k": k}, s.coeff(k), acc
 
 
 @_check("T8", fault="uses 2^n instead of 2^(n+1) on the half-scale term")
@@ -329,9 +327,7 @@ def check_T8(n_max=30, perturbed=False):
         b = fam.bernoulli_deg(n + 1)
         b_half = b.scale_lambda(Rational(1, 2))
         power = 2 ** (n + (0 if perturbed else 1))
-        rhs = (b - power * b_half) * Rational(2, n + 1)
-        if lhs != rhs:
-            return {"n": n}, lhs, rhs
+        yield {"n": n}, lhs, (b - power * b_half) * Rational(2, n + 1)
 
 
 def _numerators(table):
@@ -437,8 +433,7 @@ def check_E04(n_max=40, perturbed=False):
             ("classical", s1d, fam.falling_factorial_lambda, fam.falling_factorial(n)),
         ):
             rebuilt = XPOLY_RING._dot((XPoly.coerce(e), by(k)) for k, e in enumerate(table[n]))
-            if rebuilt != want:
-                return {"n": n, "basis": basis}, rebuilt, want
+            yield {"n": n, "basis": basis}, rebuilt, want
     if perturbed and n_max >= 2:
         row = s1d[2]
         tables["S1deg"] = (*s1d[:2], (row[0], row[1] + 1, *row[2:]), *s1d[3:])
@@ -453,13 +448,14 @@ def check_E04(n_max=40, perturbed=False):
         if at is not None:
             found = at, pair, a, b
     if found is None:
-        return None
+        return
     (n, m), pair, a, b = found
     want = RAT_ONE if n == m else RAT_ZERO
     val = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
     if pair == "classical":
-        return {"n": n, "m": m, "pair": pair}, val.constant_value(), want
-    return {"n": n, "m": m, "pair": pair}, val, LambdaPoly.const(want)
+        yield {"n": n, "m": m, "pair": pair}, val.constant_value(), want
+    else:
+        yield {"n": n, "m": m, "pair": pair}, val, LambdaPoly.const(want)
 
 
 @_check("E40", fault="divides the Bernoulli closed form by m+2 instead of m+1")
@@ -475,11 +471,8 @@ def check_E40(m_max=10, k_max=50, perturbed=False):
         acc = RAT_ZERO
         for k in range(k_max + 1):
             acc = acc + Rational(k) ** m
-            via_bernoulli = (bp.eval(k + 1, 0) - b0) / div
-            if via_bernoulli != acc:
-                return {"m": m, "k": k, "route": "bernoulli"}, via_bernoulli, acc
-            if s.coeff(k) != acc:
-                return {"m": m, "k": k, "route": "geometric"}, s.coeff(k), acc
+            yield {"m": m, "k": k, "route": "bernoulli"}, (bp.eval(k + 1, 0) - b0) / div, acc
+            yield {"m": m, "k": k, "route": "geometric"}, s.coeff(k), acc
 
 
 @_check("E44", fault="expands over (1-x)^m instead of (1-x)^(m+1)")
@@ -488,19 +481,13 @@ def check_eulerian(m_max=10, k_max=20, perturbed=False):
     regenerate the k^m coefficient stream over (1-x)^(m+1)"""
     for m in range(m_max + 1):
         a = fam.eulerian_poly(m)
-        if a.lambda_degree > 0:
-            return {"m": m, "leg": "lambda-free"}, a, XPoly()
-        total = RAT_ZERO
-        for k in range(a.degree + 1):
-            total += a.coeff(k).constant_value()
-        if total != factorial(m):
-            return {"m": m, "leg": "coefficient-sum"}, total, as_rational(factorial(m))
+        yield {"m": m, "leg": "lambda-free"}, a, a.eval_lambda(0)
+        total = sum((a.coeff(k).constant_value() for k in range(a.degree + 1)), RAT_ZERO)
+        yield {"m": m, "leg": "coefficient-sum"}, total, as_rational(factorial(m))
         dpow = m + 1 - (1 if perturbed else 0)
         s = RationalFn(a, _binomial_power(-LP_ONE, dpow)).expand(k_max)
         for k in range(k_max + 1):
-            want = as_rational(k**m)
-            if s.coeff(k) != want:
-                return {"m": m, "k": k}, s.coeff(k), want
+            yield {"m": m, "k": k}, s.coeff(k), as_rational(k**m)
 
 
 @_check("E50", fault="uses binomial C(r+k, k) weights instead of C(r+k-1, k)")
@@ -508,23 +495,16 @@ def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
     """rising-binomial coefficients weighted by deformed falling products
     match the S1-weighted higher-order geometric closed form"""
     shift = 0 if perturbed else 1
-    binomials = [Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LAMBDA_RING)
-                 for r in range(1, r_max + 1)]
-    # each row of weights (k)_{m,λ} serves every r, so m runs outside; the
-    # first failure in (r, m) order is kept, and after one at r only
-    # smaller r can still come before it
-    geometric = [[fam.geometric_r(l, r) for l in range(m_max + 1)] for r in range(1, r_max + 1)]
-    found, r_stop = None, r_max + 1
-    for m, weights in zip(range(m_max + 1), _falling_rows(order)):
-        for r in range(1, r_stop):
-            lhs = binomials[r - 1].diag(weights.__getitem__)
-            num = _s1_mobius_numerator(m, geometric[r - 1].__getitem__)
+    # the rows of weights (k)_{m,λ} serve every r, so they are built once;
+    # r runs outside, so the first failure is the least (r, m)
+    falling = [row for _, row in zip(range(m_max + 1), _falling_rows(order))]
+    for r in range(1, r_max + 1):
+        binom = Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LAMBDA_RING)
+        geometric = [fam.geometric_r(l, r) for l in range(m_max + 1)]
+        for m, weights in enumerate(falling):
+            num = _s1_mobius_numerator(m, geometric.__getitem__)
             rhs = RationalFn(num, _binomial_power(-LP_ONE, m + r)).expand(order)
-            bad = first_mismatch(lhs, rhs)
-            if bad is not None:
-                found, r_stop = ({"r": r, "m": m, "coeff": bad[0]}, bad[1], bad[2]), r
-                break
-    return found
+            yield {"r": r, "m": m}, binom.diag(weights.__getitem__), rhs
 
 
 @_check("E57", fault="divides the Bernoulli combination by n+2 instead of n+1")
@@ -537,12 +517,8 @@ def check_E57(n_max=16, perturbed=False):
         b = fam.bernoulli_deg(n + 1)
         b_half = b.scale_lambda(Rational(1, 2))
         div = n + 1 + (1 if perturbed else 0)
-        via_beta = (b - 2 ** (n + 1) * b_half) / div
-        if lhs != via_beta:
-            return {"n": n, "route": "bernoulli"}, lhs, via_beta
-        via_geom = fam.geometric_deg(n).eval_x(Rational(-1, 2)) / 2
-        if lhs != via_geom:
-            return {"n": n, "route": "geometric"}, lhs, via_geom
+        yield {"n": n, "route": "bernoulli"}, lhs, (b - 2 ** (n + 1) * b_half) / div
+        yield {"n": n, "route": "geometric"}, lhs, fam.geometric_deg(n).eval_x(Rational(-1, 2)) / 2
 
 
 @_check("R9", fault="drops the factor 1/2 on the geometric route")
@@ -560,10 +536,7 @@ def check_R9(n_max=16, perturbed=False):
             for l, w in enumerate(weights)
             if w
         )
-        if not perturbed:
-            via_geom = via_geom / 2
-        if via_geom != via_euler:
-            return {"n": n}, via_geom, via_euler
+        yield {"n": n}, via_geom if perturbed else via_geom / 2, via_euler
 
 
 @_check("DEG", fault="degenerates at λ = 1 instead of λ = 0")
@@ -578,28 +551,19 @@ def check_degeneration(n_max=20, perturbed=False):
             ("geom_deg", fam.geometric_deg(n).eval_lambda(at), fam.geometric(n)),
             ("falling_lambda", fam.falling_factorial_lambda(n).eval_lambda(at),
              XPoly.monomial(1, n)),
-            (
-                "bernoulli_deg",
-                LambdaPoly.const(fam.bernoulli_deg(n).eval(at)),
-                LambdaPoly.const(fam.bernoulli_number(n)),
-            ),
+            ("bernoulli_deg", LambdaPoly.const(fam.bernoulli_deg(n).eval(at)),
+             LambdaPoly.const(fam.bernoulli_number(n))),
         ]
         for name, got, want in legs:
-            if got != want:
-                return {"family": name, "n": n}, got, want
+            yield {"family": name, "n": n}, got, want
         for k in range(n + 1):
-            s1 = fam.stirling("S1deg", n, k).eval(at)
-            s2 = fam.stirling("S2deg", n, k).eval(at)
-            if s1 != fam.stirling("S1", n, k).constant_value():
-                return {"family": "stirling1_deg", "n": n, "k": k}, s1, fam.stirling("S1", n, k)
-            if s2 != fam.stirling("S2", n, k).constant_value():
-                return {"family": "stirling2_deg", "n": n, "k": k}, s2, fam.stirling("S2", n, k)
+            for kind in ("1", "2"):
+                yield ({"family": f"stirling{kind}_deg", "n": n, "k": k},
+                       fam.stirling(f"S{kind}deg", n, k).eval(at), fam.stirling(f"S{kind}", n, k))
     # Bell numbers from the additive triangle, no tables involved
     row = [1]
     for n in range(n_max + 1):
-        got = fam.bell_poly(n).eval(1, 0)
-        if got != row[0]:
-            return {"family": "bell-numbers", "n": n}, got, as_rational(row[0])
+        yield {"family": "bell-numbers", "n": n}, fam.bell_poly(n).eval(1, 0), as_rational(row[0])
         nxt = [row[-1]]
         for v in row:
             nxt.append(nxt[-1] + v)
@@ -629,19 +593,14 @@ def _gf_consistency(family, order=16, perturbed=False):
     s = build(order)
     for n in range(order + 1):
         w = factorial(n + 1) if perturbed else factorial(n)
-        got = w * s.coeff(n)
-        want = construct(n)
-        if got != want:
-            return {"n": n}, got, want
+        yield {"n": n}, w * s.coeff(n), construct(n)
     if family == "bernoulli_deg":
         # the series must also solve its defining equation: product with
         # (deformed exponential - 1)/t is exactly 1
         shifted = [u / factorial(m + 1) for m, u in zip(range(order + 1), _unit_fallings())]
         prod = s * Series("t", order, shifted, LAMBDA_RING)
         for n in range(order + 1):
-            want = LP_ONE if n == 0 else LP_ZERO
-            if prod.coeff(n) != want:
-                return {"n": n, "leg": "defining-equation"}, prod.coeff(n), want
+            yield {"n": n, "leg": "defining-equation"}, prod.coeff(n), LP_ONE if n == 0 else LP_ZERO
 
 
 _GF_FAULT = "reads coefficient n with weight (n+1)! instead of n!"

@@ -406,3 +406,22 @@ def test_generating_series_match_families():
         assert f * bell_partial_deg_gf(7).coeff(n) == bell_partial_deg(n)
         assert f * geometric_deg_gf(7).coeff(n) == geometric_deg(n)
         assert f * bernoulli_deg_gf(7).coeff(n) == bernoulli_deg(n)
+
+
+@pytest.mark.parametrize("order", [2.0, True, -1], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("build", [
+    exp_series,
+    e_lambda_series,
+    geom_series,
+    lambda order: binom_series(2, order),
+    bell_deg_gf,
+    bell_partial_deg_gf,
+    geometric_deg_gf,
+    bernoulli_deg_gf,
+], ids=["exp_series", "e_lambda_series", "geom_series", "binom_series", "bell_deg_gf",
+        "bell_partial_deg_gf", "geometric_deg_gf", "bernoulli_deg_gf"])
+def test_every_series_builder_refuses_an_order_that_is_not_a_nonnegative_int(build, order):
+    # a float order once reached range() or a list repeat first and raised
+    # Python's own TypeError
+    with pytest.raises(ValueError, match="series order"):
+        build(order)

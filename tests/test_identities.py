@@ -13,6 +13,8 @@ from degenpoly.identities import (
     MAX_BOUND,
     REGISTRY,
     Verdict,
+    _CHECKS,
+    _check,
     _falling_rows,
     _first_non_identity,
     _numerators,
@@ -568,3 +570,50 @@ def test_the_point_check_reports_the_first_of_two_faults():
     assert _first_non_identity(s1d, s2d, steps, None) == (13, 5)
     assert _first_non_identity(s1d, s2d, steps, (13, 5)) is None
     assert _first_non_identity(s1d, s2d, steps, (14, 0)) == (13, 5)
+
+
+def test_a_check_body_that_returns_is_refused_at_registration():
+    # under the yield protocol a returned triple would be read as a stream
+    # of comparisons: its three index keys unpacked as (indices, lhs, rhs)
+    def returns_a_triple(n_max=1, perturbed=False):
+        """returns its failure instead of yielding it"""
+        return {"r": 1, "m": 0, "coeff": 0}, 1, 2
+
+    before = list(_CHECKS)
+    with pytest.raises(TypeError, match="X-RETURNS"):
+        _check("X-RETURNS", fault="none")(returns_a_triple)
+    assert _CHECKS == before
+
+
+def test_a_check_computes_no_operand_after_its_first_failure(monkeypatch):
+    calls, real = [], fam.geometric_deg
+
+    def counted(n):
+        calls.append(n)
+        return real(n) + (1 if n == 2 else 0)
+
+    monkeypatch.setattr(fam, "geometric_deg", counted)
+    v = run_check("T1")
+    assert not v.ok and v.counterexample["indices"] == {"n": 2}
+    assert calls == [0, 1, 2]
+
+
+def test_E50_reports_its_least_failure_in_r_then_m(monkeypatch):
+    # faults at (r, m) = (2, 2) and (3, 0): the one at the smaller r is
+    # reported although the other has the smaller m
+    real = fam.geometric_r
+    monkeypatch.setattr(fam, "geometric_r",
+                        lambda l, r: real(l, r) + (1 if (l, r) in ((2, 2), (0, 3)) else 0))
+    v = run_check("E50")
+    assert not v.ok and v.counterexample["indices"] == {"r": 2, "m": 2, "coeff": 0}
+
+
+def test_E44_reports_the_lambda_free_part_against_a_lambda_dependent_numerator(monkeypatch):
+    real = fam.eulerian_poly
+    monkeypatch.setattr(fam, "eulerian_poly",
+                        lambda m: real(m) + (XPoly.monomial(LAM, 1) if m == 3 else 0))
+    v = run_check("E44")
+    ce = v.counterexample
+    assert not v.ok and ce["indices"] == {"m": 3, "leg": "lambda-free"}
+    assert ce["lhs"] == real(3) + XPoly.monomial(LAM, 1)
+    assert ce["rhs"] == X + 4 * X**2 + X**3 and str(ce["rhs"]) == "x + 4x^2 + x^3"
