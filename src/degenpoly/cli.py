@@ -14,7 +14,7 @@ import re
 import sys
 
 from .rational import as_rational, is_scalar
-from .poly import LambdaPoly, XPoly
+from .poly import LambdaPoly, XPoly, _index
 from .ratfunc import PoleError, RationalFn
 from .render import value_to_json
 from .identities import MAX_BOUND, run_all, verdicts_to_json
@@ -74,10 +74,10 @@ def _rat_or_sym(text: str):
         raise argparse.ArgumentTypeError(f"expected a rational p/q or 'sym', got {text!r}")
 
 
-def _digit_limit_error() -> ValueError:
+def _digit_limit_error(options: str = "--x or --lambda") -> ValueError:
     limit = sys.get_int_max_str_digits()
     return ValueError(f"a number in the result exceeds {limit} digits, the int-string limit "
-                      "(sys.get_int_max_str_digits()); --x or --lambda is too large")
+                      f"(sys.get_int_max_str_digits()); {options} is too large")
 
 
 def _refuse_past_the_limit(value, lam, x):
@@ -155,7 +155,12 @@ def _member(args, n: int, k: int | None = None):
         if k is not None:
             raise ValueError(f"--k does not apply to {family}: it has one member per n")
         if family == "geom_r":
-            v = fam.geometric_r(n, _geom_r_order(args))
+            # with x symbolic the x^n coefficient r(r+1)...(r+n-1) >= r^n,
+            # of at least n (digits(r) - 1) + 1 digits, is printed in full
+            r, limit = _geom_r_order(args), sys.get_int_max_str_digits()
+            if args.x is None and limit and r > 0 and n * (len(str(r)) - 1) + 1 > limit:
+                raise _digit_limit_error("--r")
+            v = fam.geometric_r(n, r)
         else:
             v = _SEQUENCE_FAMILIES[family](n)
     return _specialise(v, args.lam, args.x)
@@ -200,23 +205,15 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _row_bound(name: str, value: int) -> int:
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    if value > MAX_BOUND:
-        raise ValueError(f"{name} must be at most {MAX_BOUND}, got {value}")
-    return value
-
-
 def _cmd_table(args) -> int:
     family = args.family
     if args.n is not None:
         if args.n_max is not None:
             raise ValueError("--n-max does not apply to a single row: --n prints row n alone")
-        ns = [_row_bound("n", args.n)]
+        ns = [_index(args.n, "n", most=MAX_BOUND)]
     else:
         n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX
-        ns = list(range(_row_bound("n_max", n_max) + 1))
+        ns = list(range(_index(n_max, "n_max", most=MAX_BOUND) + 1))
 
     rows = []
     for n in ns:
@@ -267,7 +264,7 @@ def _table_text(args, rows) -> str:
 
 
 def _cmd_eval(args) -> int:
-    _row_bound("n", args.n)
+    _index(args.n, "n", most=MAX_BOUND)
     _write(_rendered(_to_text, _member(args, args.n, args.k)), args.output)
     return 0
 

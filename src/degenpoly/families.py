@@ -40,7 +40,7 @@ from math import comb, factorial
 from operator import mul
 
 from .rational import RAT_ONE, Rational
-from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly
+from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, _index
 from .series import LAMBDA_RING, XPOLY_RING, Series, _check_order
 from .ratfunc import RationalFn, substitute_mobius
 
@@ -83,8 +83,7 @@ def _sequence(step):
     terms = []
 
     def term(n: int):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"index must be a nonnegative int, got {n!r}")
+        _index(n, "index")
         with _LOCK:
             while len(terms) <= n:
                 terms.append(step(len(terms), terms))
@@ -96,7 +95,7 @@ def _sequence(step):
 def rising_product(base: int, m: int) -> int:
     """base (base+1) ... (base+m-1); the empty product is 1."""
     out = 1
-    for j in range(m):
+    for j in range(_index(m, "rising product length")):
         out *= base + j
     return out
 
@@ -158,16 +157,14 @@ def stirling(kind: str, n: int, k: int) -> LambdaPoly:
     """
     if kind not in STIRLING_KINDS:
         raise ValueError(f"unknown table kind {kind!r}; expected one of {STIRLING_KINDS}")
-    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
-        raise ValueError(f"table indices must be nonnegative ints, got {n!r}, {k!r}")
-    if k > n:
+    if _index(n, "table index n") < _index(k, "table index k"):
         return LP_ZERO
     return _TABLE[kind](n)[k]
 
 
 def triangular_table(kind: str, n_max: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     """Rows 0..n_max of one change-of-basis table; row n holds entries (n, 0..n)."""
-    stirling(kind, n_max, 0)  # checks the arguments and builds rows 0..n_max
+    stirling(kind, _index(n_max, "n_max"), 0)  # checks the kind and builds rows 0..n_max
     return tuple(map(_TABLE[kind], range(n_max + 1)))
 
 
@@ -223,8 +220,7 @@ def geometric_r(n: int, r: int) -> XPoly:
     sum of S2(n,k) r(r+1)...(r+k-1) x^k, for integer order r >= 1.
     Order r = 1 reproduces the plain geometric polynomial.
     """
-    if type(r) is not int or r < 1:
-        raise ValueError(f"order r must be a positive integer, got {r!r}")
+    _index(r, "order r", least=1)
     return _weighted_row("S2", n, lambda k: rising_product(r, k))
 
 
@@ -266,8 +262,7 @@ def bernoulli_number(n: int) -> Rational:
 
 def bernoulli_poly(n: int) -> XPoly:
     """Classical Bernoulli polynomial via the binomial sum over B_k."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"index must be a nonnegative int, got {n!r}")
+    _index(n, "index")
     # coefficient of x^i is C(n, i) B_{n-i}
     return XPoly(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 
@@ -323,8 +318,7 @@ def geom_series(order: int) -> Series:
 
 def binom_series(r: int, order: int) -> Series:
     """(1-x)^(-r): coefficients C(r+k-1, k)."""
-    if type(r) is not int or r < 1:
-        raise ValueError(f"order r must be a positive integer, got {r!r}")
+    _index(r, "order r", least=1)
     _check_order(order)
     return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], LAMBDA_RING)
 

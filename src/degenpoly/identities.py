@@ -36,6 +36,7 @@ from .poly import (
     LP_ZERO,
     LambdaPoly,
     XPoly,
+    _index,
     _strip,
 )
 from .series import LAMBDA_RING, XPOLY_RING, Series, first_mismatch
@@ -82,13 +83,6 @@ class IdentityCheck(namedtuple("IdentityCheck", "id description params fn pertur
 _CHECKS: list[IdentityCheck] = []
 
 
-def _check_bound(check_id: str, name: str, value) -> None:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{check_id}: {name} must be an int >= 0, got {value!r}")
-    if value > MAX_BOUND:
-        raise ValueError(f"{check_id}: {name} must be at most {MAX_BOUND}, got {value}")
-
-
 # CO_GENERATOR: set in the flags of a generator function's code object;
 # read there so that importing the package does not load inspect
 _CO_GENERATOR = 0x20
@@ -127,7 +121,7 @@ def _check(check_id: str, fault: str, **fixed):
                 raise TypeError(f"{check_id} takes no argument {', '.join(sorted(unknown))}")
             call = {**defaults, **kwargs}
             for name in bounds:
-                _check_bound(check_id, name, call[name])
+                _index(call[name], f"{check_id}: {name}", most=MAX_BOUND)
             params = {**fixed, **{name: call[name] for name in bounds}}
             for indices, lhs, rhs in body(**fixed, **call):
                 if isinstance(lhs, Series):
@@ -352,7 +346,12 @@ def _recurrence(num, den, step):
     # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), (a, b) =
     # step(n-1, k), started from row 0 = (1): per row the weights a and b
     # as two lists, and the residual, stored row minus recurrence on the
-    # stored row before, as (k, numerators) for each entry that differs
+    # stored row before, as (k, numerators) for each entry that differs.
+    # This restates families._build_row's step on purpose, not by calling
+    # it: with one shared kernel, a fault in it would leave every residual
+    # empty, _point_rows would return the correct recurrence's values
+    # instead of the stored ones, and E04's product leg would pass on wrong
+    # tables (its basis leg reaches only n = 12)
     out = []
     for n, row in enumerate(num):
         ws, rec = [], [(den,)]
@@ -625,8 +624,7 @@ def _bounds(entry: IdentityCheck, overrides: dict | None) -> dict:
     for name, default in entry.params.items():
         value = (overrides or {}).get(name)
         if value is not None and isinstance(default, int):
-            _check_bound(entry.id, name, value)
-            out[name] = value
+            out[name] = _index(value, f"{entry.id}: {name}", most=MAX_BOUND)
     return out
 
 
@@ -647,12 +645,14 @@ def run_check(check_id: str, overrides: dict | None = None, perturbed=False) -> 
 def run_all(prefix: str | None = None, overrides: dict | None = None, negative_control=False):
     """Run every check (or those whose id starts with prefix), in id order.
 
-    negative_control may be True (inject every registered fault) or the
-    id of one selected check (inject only that one, leaving the rest
-    honest).
+    negative_control may be False, True (inject every registered fault)
+    or the id of one selected check (inject only that one, leaving the
+    rest honest); any other value raises TypeError.
     Every override is checked against every selected check's bounds
     before any check runs.
     """
+    if not isinstance(negative_control, (bool, str)):
+        raise TypeError(f"negative_control must be a bool or a check id, got {negative_control!r}")
     entries = [c for c in REGISTRY if prefix is None or c.id.startswith(prefix)]
     if not entries:
         known = ", ".join(c.id for c in REGISTRY)

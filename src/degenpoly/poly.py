@@ -103,6 +103,17 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
+def _index(value, what: str, least: int = 0, most: int | None = None) -> int:
+    # the one count rule: an index, order, degree or bound is an int (not a
+    # bool, a float or anything else) from least up to most; value, or a
+    # ValueError naming what
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value}")
+    return value
+
+
 def _rat(value):
     # an int or a rational passes through as it is; anything else goes
     # through the parser, which reads "p/q" strings and refuses the rest
@@ -168,10 +179,8 @@ class _Exact:
         return self * (RAT_ONE / other)
 
     def __pow__(self, n: int):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"powers must be nonnegative integers, got {n!r}")
         acc = self.one
-        for _ in range(n):
+        for _ in range(_index(n, "exponent")):
             acc = acc * self
         return acc
 
@@ -225,8 +234,7 @@ class LambdaPoly(_Exact):
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "LambdaPoly":
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"monomial degrees must be nonnegative ints, got {degree!r}")
+        _index(degree, "monomial degree")
         q = _rat(coeff)
         return cls._new([0] * degree + [q.numerator], q.denominator)
 
@@ -386,8 +394,7 @@ class XPoly(_Exact):
 
     @classmethod
     def monomial(cls, coeff, degree: int) -> "XPoly":
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"monomial degrees must be nonnegative ints, got {degree!r}")
+        _index(degree, "monomial degree")
         c = LambdaPoly.coerce(coeff)
         if not c:
             return XP_ZERO
@@ -568,10 +575,8 @@ def lambda_falling(base, m: int) -> LambdaPoly:
     integer base k it is the diagonal weight attached to x^k by the
     degenerate derivative operator.
     """
-    if type(m) is not int or m < 0:
-        raise ValueError(f"falling products need a nonnegative int length, got {m!r}")
     b = LambdaPoly.coerce(base)
     acc = LP_ONE
-    for j in range(m):
+    for j in range(_index(m, "falling product length")):
         acc = acc * (b - LambdaPoly.monomial(j, 1))
     return acc

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .rational import RAT_ONE
-from .poly import LambdaPoly, NonInvertibleError, XPoly, _unit_value, lambda_falling
+from .poly import LambdaPoly, NonInvertibleError, XPoly, _index, _unit_value, lambda_falling
 
 __all__ = [
     "Series",
@@ -61,10 +61,8 @@ def _divide(num: Sequence, den: Sequence, order: int, ring: type) -> tuple:
     return tuple(out)
 
 
-def _check_order(order) -> None:
-    # a bool or a float is refused too, as the sequence readers do
-    if type(order) is not int or order < 0:
-        raise ValueError(f"series order must be nonnegative and an int, got {order!r}")
+def _check_order(order) -> int:
+    return _index(order, "series order")
 
 
 class Series:
@@ -256,8 +254,7 @@ def diag_weight(s: Series, m: int) -> Series:
     power of x; on x^k one pass multiplies by k, then k-λ, and so on.
     m = 0 is the identity.
     """
-    if m < 0:
-        raise ValueError("operator power must be nonnegative")
+    _index(m, "operator power")
     return s.diag(lambda k: lambda_falling(k, m))
 
 

@@ -19,7 +19,7 @@ from degenpoly.cli import _build_parser, _refuse_past_the_limit, main
 from degenpoly.poly import LAM, X, XP_ONE, LambdaPoly, XPoly
 from degenpoly.ratfunc import RationalFn
 from degenpoly.render import value_from_json, value_to_json
-from degenpoly.families import bell_deg, bell_second_deg, bernoulli_deg, stirling
+from degenpoly.families import bell_deg, bell_second_deg, bernoulli_deg, rising_product, stirling
 
 
 def child_env():
@@ -551,6 +551,21 @@ def test_out_of_range_bounds_fail_fast(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+def test_a_huge_geom_r_order_is_refused_before_it_is_computed(capsys):
+    # with x symbolic the x^n coefficient r(r+1)...(r+n-1) is printed in full
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--family", "geom_r", "--n", "100",
+                             "--r", "1" + "0" * 4000)
+    assert time.perf_counter() - t0 < 2
+    assert code == 2 and out == ""
+    assert "--r is too large" in err and "--x" not in err
+    # a 40-digit order at n = 100 has fewer digits than the limit: it prints
+    r = 10**39 + 7
+    code, out, _ = run_cli(capsys, "eval", "--family", "geom_r", "--n", "100", "--r", str(r))
+    assert code == 0
+    assert out.rstrip("\n").endswith(f" + {rising_product(r, 100)}x^100")
 
 
 def test_entry_point_subprocess():

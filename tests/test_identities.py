@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from degenpoly import identities
 from degenpoly.identities import (
     MAX_BOUND,
     REGISTRY,
@@ -41,6 +43,7 @@ from degenpoly.render import value_from_json
 from degenpoly.series import LAMBDA_RING, Series
 
 ALL_IDS = [c.id for c in REGISTRY]
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 
 def test_registry_shape():
@@ -119,6 +122,20 @@ def test_run_all_targeted_control():
 def test_run_all_refuses_a_control_outside_the_selection():
     with pytest.raises(ValueError, match="'E04'"):
         run_all("T8", negative_control="E04")
+
+
+@pytest.mark.parametrize("control", [1, None])
+def test_run_all_refuses_a_control_that_is_neither_a_bool_nor_an_id(control, monkeypatch):
+    # neither value injects a fault, so a caller who meant one would see a passing control
+    monkeypatch.setattr(identities, "run_check", lambda *a, **k: pytest.fail("a check ran"))
+    with pytest.raises(TypeError, match="negative_control must be a bool or a check id"):
+        run_all("T8", negative_control=control)
+
+
+def test_the_workflow_edge_step_counts_every_registered_check():
+    # the one "N passed, 0 failed" the workflow asserts, read as plain text
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert re.findall(r'"(\d+) passed, 0 failed"', text) == [str(len(REGISTRY))]
 
 
 def test_run_all_full_control_flips_everything():
