@@ -25,9 +25,9 @@ from __future__ import annotations
 import functools
 import json
 from collections import namedtuple
-from itertools import count, repeat, zip_longest
+from itertools import count, zip_longest
 from math import comb, factorial, lcm
-from operator import add, mul
+from operator import add
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational
 from .poly import (
@@ -58,8 +58,8 @@ __all__ = [
 
 # largest bound a check or a table accepts: the default bounds reach 50.
 # At 100 (order 64 where a check takes one) the slowest checks are L2 at
-# about 13 s, T5T6 at 6 s and E04 at 5 s; all 18 take about 37 s in one
-# process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
+# about 10 s and T5T6 at 4 s, and E04 takes 0.26 s; all 18 take about 23 s
+# in one process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
 MAX_BOUND = 100
 
 
@@ -332,15 +332,6 @@ def _numerators(table):
             for row in table], den
 
 
-def _horner(c, t: int) -> int:
-    # the integer numerator list c at λ = t: t is small, so each step is a
-    # short multiply, unlike a sum of c_i t^i
-    v = 0
-    for x in reversed(c):
-        v = v * t + x
-    return v
-
-
 def _recurrence(num, den, step):
     # a table's numerators (over den) against its row recurrence
     # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), (a, b) =
@@ -349,9 +340,9 @@ def _recurrence(num, den, step):
     # stored row before, as (k, numerators) for each entry that differs.
     # This restates families._build_row's step on purpose, not by calling
     # it: with one shared kernel, a fault in it would leave every residual
-    # empty, _point_rows would return the correct recurrence's values
-    # instead of the stored ones, and E04's product leg would pass on wrong
-    # tables (its basis leg reaches only n = 12)
+    # empty, _first_non_identity would check the tables the correct weights
+    # build instead of the stored ones, and E04's product leg would pass on
+    # wrong tables (its basis leg reaches only n = 12)
     out = []
     for n, row in enumerate(num):
         ws, rec = [], [(den,)]
@@ -366,57 +357,50 @@ def _recurrence(num, den, step):
     return out
 
 
-def _point_rows(rec, den, t: int):
-    # the rows of a table at λ = t from its _recurrence: row n is the
-    # recurrence at t applied to row n-1, plus the residual's values, so it
-    # equals the stored row's values whatever the step weights are
-    row = [den]
-    for n, (wa, wb, res) in enumerate(rec):
-        if n:
-            w = map(add, wa, map(mul, wb, repeat(t)))
-            row = list(map(add, [0, *row], map(mul, w, [*row, 0])))
-        for k, c in res:
-            row[k] += _horner(c, t)
-        yield row
-
-
 def _first_non_identity(a, b, steps, before):
-    # the first (n, m) before ``before`` in row-major order at which
-    # sum_k a[n][k] b[k][m] differs from δ(n, m), or None.  That sum has
-    # λ-degree at most D(n, m) = max_k deg a[n][k] + deg b[k][m] (a zero
-    # entry adds no product), so its values at λ = 0..D(n, m) decide it
-    # exactly.  At λ = 0 the values are the constant numerators; at each
-    # later point every row comes from the row before through the table's
-    # recurrence (``steps`` holds the step weights of a and of b), plus
-    # the Horner values of the residual, which is empty for a table the
-    # recurrence built.  The values are dropped after each point.
+    # the first (n, m) before ``before`` in row-major order at which the
+    # product P[n][m] = sum_k a[n][k] b[k][m] differs from δ(n, m), or None.
+    # Through _recurrence (``steps`` holds the step weights of a and of b)
+    # each table reads A[n][k] = A[n-1][k-1] + wA(n-1, k) A[n-1][k] +
+    # rA[n][k]; putting both into the sum gives, for any tables and weights,
+    #   P[n][m] = P[n-1][m-1] + W_m P[n-1][m]
+    #           + sum_{j=m+1..n-1} (W_j - W_m) A[n-1][j] B[j][m]
+    #           + sum_j A[n-1][j] rB[j+1][m] + sum_k rA[n][k] B[k][m]
+    # with W_j = wA(n-1, j) + wB(j, m).  Every entry before the first hit
+    # is δ, so row n-1 is known and P[n][m] = δ(n, m) exactly when the
+    # terms after P[n-1][m-1] sum to zero.  They take λ-products only where
+    # W_j varies with j or a residual is nonzero: W_j is m-n+1 for S1·S2
+    # and S1deg·S2deg and 0 for S2·S1 whatever j is, and a table the
+    # recurrence built has no residual.
     size = len(a)
-    (a, da), (b, db) = _numerators(a), _numerators(b)
-    top = max(len(c) for row in (*a, *b) for c in row)
-    none = -2 * top  # the degree of a zero entry: no sum with it is >= 0
-    adeg = [[len(c) - 1 if c else none for c in row] for row in a]
-    bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
-    need = [[max(map(add, adeg[n][m:], bdeg[m])) for m in range(n + 1)] for n in range(size)]
-    stop, hit, recs = before or (size, 0), None, None
-    for t in range(max(max(r) for r in need) + 1):
-        if t:
-            # the residuals, once per table, when the first point past 0 needs them
-            recs = recs or (_recurrence(a, da, steps[0]), _recurrence(b, db, steps[1]))
-            rows_a, rows_b = _point_rows(recs[0], da, t), _point_rows(recs[1], db, t)
-        else:
-            rows_a, rows_b = (([c[0] if c else 0 for c in row] for row in x) for x in (a, b))
-        # column m of b at t, from row m down
-        cols = [c[m:] for m, c in enumerate(zip_longest(*rows_b, fillvalue=0))]
-        for n, row in enumerate(rows_a):
-            if n > stop[0]:
-                break
-            for m in range(n + 1 if n < stop[0] else stop[1]):
-                if t and need[n][m] < t:
-                    continue
-                if sum(map(mul, row[m:], cols[m])) != (da * db if n == m else 0):
-                    hit = stop = n, m
-                    break
-    return hit
+    (na, da), (nb, db) = _numerators(a), _numerators(b)
+    ra, rb = _recurrence(na, da, steps[0]), _recurrence(nb, db, steps[1])
+    # b's weights wB(j, m), j >= m, and its residuals as (row, value), by column m
+    bcols = [([r[0][m] for r in rb[m + 1 :]], [r[1][m] for r in rb[m + 1 :]]) for m in range(size)]
+    bres = [[] for _ in range(size)]
+    for i, (_, _, res) in enumerate(rb[1:], 1):
+        for m, c in res:
+            bres[m].append((i, LambdaPoly._new(list(c), db)))
+    stop = before or (size, 0)
+    if stop > (0, 0) and a[0][0] * b[0][0] != LP_ONE:
+        return 0, 0
+    for n in range(1, min(stop[0] + 1, size)):
+        wa, wb, res = ra[n]
+        res, up = [(k, LambdaPoly._new(list(c), da)) for k, c in res], a[n - 1]
+        for m in range(n + 1 if n < stop[0] else stop[1]):
+            terms = [(r, b[k][m]) for k, r in res if k >= m]
+            terms += [(up[i - 1], r) for i, r in bres[m] if i <= n]
+            if m < n:
+                sa, sb = list(map(add, wa[m:n], bcols[m][0])), list(map(add, wb[m:n], bcols[m][1]))
+                w = sa[0], sb[0]
+                if sa.count(w[0]) < len(sa) or sb.count(w[1]) < len(sb):
+                    terms += [(LambdaPoly._new([x - w[0], y - w[1]]) * up[j], b[j][m])
+                              for j, x, y in zip(count(m), sa, sb) if (x, y) != w]
+                if m == n - 1 and w != (0, 0):
+                    terms.append((LambdaPoly._new(list(w)), LP_ONE))
+            if terms and LAMBDA_RING._dot(terms):
+                return n, m
+    return None
 
 
 @_check("E04", fault="adds 1 to the deformed first-kind entry (2, 1)")

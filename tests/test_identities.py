@@ -2,10 +2,13 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from itertools import repeat, zip_longest
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -484,6 +487,63 @@ def _first_non_identity_by_horner(a, b, before):
     return hit
 
 
+def _horner(c, t: int) -> int:
+    # the integer numerator list c at λ = t
+    v = 0
+    for x in reversed(c):
+        v = v * t + x
+    return v
+
+
+def _point_rows(rec, den, t: int):
+    # the rows of a table at λ = t from its _recurrence: row n is the
+    # recurrence at t applied to row n-1, plus the residual's values, so it
+    # equals the stored row's values whatever the step weights are
+    row = [den]
+    for n, (wa, wb, res) in enumerate(rec):
+        if n:
+            w = map(add, wa, map(mul, wb, repeat(t)))
+            row = list(map(add, [0, *row], map(mul, w, [*row, 0])))
+        for k, c in res:
+            row[k] += _horner(c, t)
+        yield row
+
+
+def _first_non_identity_by_points(a, b, steps, before):
+    # the point check as it was before the product's own recurrence, kept
+    # as the reference that route must reproduce: the sum has λ-degree at
+    # most D(n, m) = max_k deg a[n][k] + deg b[k][m], so its values at
+    # λ = 0..D(n, m) decide it, each row read through _recurrence.  When
+    # every D(n, m) is negative it evaluates no point and returns None,
+    # even for a product that is 0 at (0, 0)
+    size = len(a)
+    (a, da), (b, db) = _numerators(a), _numerators(b)
+    top = max(len(c) for row in (*a, *b) for c in row)
+    none = -2 * top  # the degree of a zero entry: no sum with it is >= 0
+    adeg = [[len(c) - 1 if c else none for c in row] for row in a]
+    bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
+    need = [[max(map(add, adeg[n][m:], bdeg[m])) for m in range(n + 1)] for n in range(size)]
+    stop, hit, recs = before or (size, 0), None, None
+    for t in range(max(max(r) for r in need) + 1):
+        if t:
+            recs = recs or (_recurrence(a, da, steps[0]), _recurrence(b, db, steps[1]))
+            rows_a, rows_b = _point_rows(recs[0], da, t), _point_rows(recs[1], db, t)
+        else:
+            rows_a, rows_b = (([c[0] if c else 0 for c in row] for row in x) for x in (a, b))
+        # column m of b at t, from row m down
+        cols = [c[m:] for m, c in enumerate(zip_longest(*rows_b, fillvalue=0))]
+        for n, row in enumerate(rows_a):
+            if n > stop[0]:
+                break
+            for m in range(n + 1 if n < stop[0] else stop[1]):
+                if t and need[n][m] < t:
+                    continue
+                if sum(map(mul, row[m:], cols[m])) != (da * db if n == m else 0):
+                    hit = stop = n, m
+                    break
+    return hit
+
+
 def _off_by_one(step):
     # a wrong recurrence: every step weight a + bλ becomes a + 1 + bλ
     def wrong(n, k):
@@ -505,6 +565,63 @@ def test_the_recurrence_route_agrees_with_horner_on_true_tables():
             assert _first_non_identity(a, b, steps, before) is None
             # exactness does not depend on the recurrence
             assert _first_non_identity(a, b, wrong, before) is None
+
+
+def test_a_product_whose_entries_are_all_zero_is_not_the_identity():
+    # every degree bound is negative here, so a route that evaluates the
+    # product at λ = 0..bound evaluates nothing and misses (0, 0)
+    steps = _steps("S2", "S1")
+    assert _first_non_identity(((LP_ZERO,),), fam.triangular_table("S1", 0), steps, None) == (0, 0)
+    assert _first_non_identity(((LP_ZERO,),), fam.triangular_table("S1", 0), steps, (0, 0)) is None
+
+
+# each corruption of one table entry in the seeded differential test
+DIFF_CORRUPTIONS = (
+    lambda e, rng: e + rng.choice((-1, 1)) * rng.randint(1, 5),
+    lambda e, rng: e + LambdaPoly.monomial(rng.choice((-1, 1)), rng.randint(19, 40)),
+    lambda e, rng: e + LambdaPoly.monomial(Rational(1, rng.randint(2, 5)), rng.randint(0, 3)),
+    lambda e, rng: LP_ZERO,
+    lambda e, rng: e * LAM,
+)
+
+
+def _wrong_step(step, rng):
+    # step weights off by (da, db) everywhere or at one (n, k) only
+    da, db = rng.choice(((1, 0), (0, 1), (-1, 2), (3, -1)))
+    at = rng.choice((None, (rng.randint(0, 17), rng.randint(0, 18))))
+
+    def wrong(n, k):
+        a, b = step(n, k)
+        return (a + da, b + db) if at is None or at == (n, k) else (a, b)
+
+    return wrong
+
+
+@pytest.mark.parametrize("kinds", PAIRS)
+def test_the_product_recurrence_agrees_with_the_symbolic_product(kinds):
+    # seeded trials at n_max <= 18: a corrupted entry (row 0 included) of
+    # either table, wrong step weights on either table, and a random stop
+    rng = random.Random(f"{kinds}-24")
+    for trial in range(200):
+        size = rng.randint(0, 18) + 1
+        tables = [[list(r) for r in fam.triangular_table(kind, size - 1)] for kind in kinds]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            t = rng.choice(tables)
+            n = 0 if rng.random() < 0.1 else rng.randrange(size)
+            k = rng.randint(0, n)
+            t[n][k] = rng.choice(DIFF_CORRUPTIONS)(t[n][k], rng)
+        steps = [fam._STEP[kind] for kind in kinds]
+        if rng.random() < 0.3:
+            i = rng.randrange(2)
+            steps[i] = _wrong_step(steps[i], rng)
+        stop = rng.randint(0, size)
+        before = rng.choice((None, (stop, rng.randint(0, stop))))
+        a, b = tables
+        bad = _first_bad_product(a, b)
+        want = bad[0] if bad and (before is None or bad[0] < before) else None
+        assert _first_non_identity(a, b, steps, before) == want, (trial, size, before)
+        if size > 1:
+            assert _first_non_identity_by_points(a, b, steps, before) == want, (trial, size, before)
 
 
 def test_the_residual_rows_of_true_tables_are_empty():
