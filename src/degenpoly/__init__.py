@@ -16,6 +16,7 @@ from .poly import (
     XPoly,
     lambda_falling,
 )
+# LAMBDA_RING and XPOLY_RING stay exported for the tests and perfbench/child.py
 from .series import (
     LAMBDA_RING,
     XPOLY_RING,

@@ -179,13 +179,13 @@ def _to_text(v, latex=False) -> str:
     return v.latex() if latex else v.text()
 
 
-def _rendered(render, *args) -> str:
+def _rendered(args, render, *rest) -> str:
     # str() of an int past the int-string limit is the one ValueError that
-    # rendering a computed value raises; name the limit and its cause
+    # rendering a computed value raises; name the limit and its causes
     try:
-        return render(*args)
+        return render(*rest)
     except ValueError:
-        raise _digit_limit_error() from None
+        raise _digit_limit_error(("--r, " if args.r is not None else "") + "--x or --lambda") from None
 
 
 def _to_json_value(v):
@@ -221,7 +221,7 @@ def _cmd_table(args) -> int:
             rows += [{"n": n, "k": k, "value": _member(args, n, k)} for k in range(n + 1)]
         else:
             rows.append({"n": n, "value": _member(args, n)})
-    _write(_rendered(_table_text, args, rows), args.output)
+    _write(_rendered(args, _table_text, args, rows), args.output)
     return 0
 
 
@@ -265,7 +265,7 @@ def _table_text(args, rows) -> str:
 
 def _cmd_eval(args) -> int:
     _index(args.n, "n", most=MAX_BOUND)
-    _write(_rendered(_to_text, _member(args, args.n, args.k)), args.output)
+    _write(_rendered(args, _to_text, _member(args, args.n, args.k)), args.output)
     return 0
 
 

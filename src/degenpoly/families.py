@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import threading
-from itertools import starmap
+from itertools import accumulate, starmap
 from math import comb, factorial
 from operator import mul
 
 from .rational import RAT_ONE, Rational
 from .poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, _index
-from .series import LAMBDA_RING, XPOLY_RING, Series, _check_order
+from .series import Series, _check_order
 from .ratfunc import RationalFn, substitute_mobius
 
 __all__ = [
@@ -221,7 +221,7 @@ def geometric_r(n: int, r: int) -> XPoly:
     Order r = 1 reproduces the plain geometric polynomial.
     """
     _index(r, "order r", least=1)
-    return _weighted_row("S2", n, lambda k: rising_product(r, k))
+    return _weighted_row("S2", n, [1, *accumulate(range(r, r + _index(n, "index")), mul)].__getitem__)
 
 
 def _reciprocal_step(coeff, one, dot):
@@ -296,7 +296,7 @@ def eulerian_poly(m: int) -> XPoly:
 def exp_series(order: int) -> Series:
     """exp(t): coefficients 1/n!."""
     _check_order(order)
-    return Series("t", order, [Rational(1, factorial(n)) for n in range(order + 1)], LAMBDA_RING)
+    return Series("t", order, [Rational(1, factorial(n)) for n in range(order + 1)], LambdaPoly)
 
 
 def e_lambda_series(order: int, var: str = "t") -> Series:
@@ -306,27 +306,27 @@ def e_lambda_series(order: int, var: str = "t") -> Series:
         var,
         order,
         [_unit_falling(n) / factorial(n) for n in range(order + 1)],
-        LAMBDA_RING,
+        LambdaPoly,
     )
 
 
 def geom_series(order: int) -> Series:
     """1/(1-x): all coefficients 1."""
     _check_order(order)
-    return Series("x", order, [1] * (order + 1), LAMBDA_RING)
+    return Series("x", order, [1] * (order + 1), LambdaPoly)
 
 
 def binom_series(r: int, order: int) -> Series:
     """(1-x)^(-r): coefficients C(r+k-1, k)."""
     _index(r, "order r", least=1)
     _check_order(order)
-    return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], LAMBDA_RING)
+    return Series("x", order, [comb(r + k - 1, k) for k in range(order + 1)], LambdaPoly)
 
 
 def _x_times_minus_one(e: Series) -> Series:
     # x (e(t) - 1) as a series in t with XPoly coefficients
     coeffs = [XPoly()] + [XPoly.monomial(c, 1) for c in e.coeffs[1:]]
-    return Series("t", e.order, coeffs, XPOLY_RING)
+    return Series("t", e.order, coeffs, XPoly)
 
 
 def bell_deg_gf(order: int) -> Series:
@@ -350,7 +350,7 @@ def geometric_deg_gf(order: int) -> Series:
 
     Built as the reciprocal of 1 - x(deformed exponential - 1).
     """
-    one = Series.one("t", order, XPOLY_RING)
+    one = Series.one("t", order, XPoly)
     return (one - _x_times_minus_one(e_lambda_series(order))).reciprocal()
 
 
@@ -361,4 +361,4 @@ def bernoulli_deg_gf(order: int) -> Series:
     """
     _check_order(order)
     coeffs = [_e_lambda_quotient(m) for m in range(order + 1)]
-    return Series("t", order, coeffs, LAMBDA_RING).reciprocal()
+    return Series("t", order, coeffs, LambdaPoly).reciprocal()

@@ -39,7 +39,7 @@ from .poly import (
     _index,
     _strip,
 )
-from .series import LAMBDA_RING, XPOLY_RING, Series, first_mismatch
+from .series import Series, first_mismatch
 from .ratfunc import RationalFn, _binomial_power, gamma_moment, substitute_mobius
 from .render import value_to_json
 from . import families as fam
@@ -58,7 +58,7 @@ __all__ = [
 
 # largest bound a check or a table accepts: the default bounds reach 50.
 # At 100 (order 64 where a check takes one) the slowest checks are L2 at
-# about 10 s and T5T6 at 4 s, and E04 takes 0.26 s; all 18 take about 23 s
+# about 9 s and T5T6 at 3.7 s, and E04 takes 0.26 s; all 18 take about 21 s
 # in one process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
 MAX_BOUND = 100
 
@@ -228,7 +228,7 @@ def _t4_right_sides(e: Series, mix_fc) -> list:
     # further, so it is the series e * (N/D).expand(order) without a λ-ring
     # series product (GF-bern's defining-equation leg still takes one)
     e_poly, order = XPoly(e.coeffs), e.order
-    rows, mix = [], Series(e.var, order, [], LAMBDA_RING)
+    rows, mix = [], Series(e.var, order, [], LambdaPoly)
     for n, c in enumerate(mix_fc):
         rf = fam.bell_second_deg(n)
         rows.append(RationalFn(e_poly * rf.num, rf.den).expand(order))
@@ -266,8 +266,8 @@ def check_T5_T6(n_max=12, order=16, perturbed=False):
         rf = fam.bell_second_deg(n)
         bell = fam.bell_deg(n)
         composed = Series("x", order, [bell.coeff(0)] + [
-            LAMBDA_RING._dot(zip(row, bell.coeffs[1:])) for row in rows
-        ], LAMBDA_RING)
+            LambdaPoly._dot(zip(row, bell.coeffs[1:])) for row in rows
+        ], LambdaPoly)
         yield {"n": n}, rf.expand(order), composed
         yield {"n": n, "leg": "inverse"}, rf.substituted(-LAM), RationalFn(bell)
 
@@ -285,7 +285,7 @@ def _s1_mobius_numerator(m: int, poly_of, bump_l0=False) -> XPoly:
     weights = [_s1_lambda_weight(m, l) for l in range(m + 1)]
     if bump_l0:
         weights[0] = weights[0] + 1
-    total = XPOLY_RING._dot((XPoly.coerce(w), poly_of(l)) for l, w in enumerate(weights) if w)
+    total = XPoly._dot((XPoly.coerce(w), poly_of(l)) for l, w in enumerate(weights) if w)
     return substitute_mobius(total, -1).num
 
 
@@ -340,16 +340,16 @@ def _recurrence(num, den, step):
     # stored row before, as (k, numerators) for each entry that differs.
     # This restates families._build_row's step on purpose, not by calling
     # it: with one shared kernel, a fault in it would leave every residual
-    # empty, _first_non_identity would check the tables the correct weights
-    # build instead of the stored ones, and E04's product leg would pass on
-    # wrong tables (its basis leg reaches only n = 12)
+    # empty, _first_miss would check the tables the correct weights build
+    # instead of the stored ones, and every one of E04's products would pass
+    # on wrong tables
     out = []
     for n, row in enumerate(num):
         ws, rec = [], [(den,)]
         if n:
             ws, rec, prev = [step(n - 1, k) for k in range(n + 1)], [], num[n - 1]
             for (a, b), s, c in zip(ws, [(), *prev], [*prev, ()]):
-                terms = zip((*s, *[0] * (len(c) + 1 - len(s))), (*c, 0), (0, *c))
+                terms = zip_longest(s, c, (0, *c), fillvalue=0)
                 rec.append(_strip([p + a * x + b * y for p, x, y in terms]))
         res = [(k, _strip([x - y for x, y in zip_longest(e, r, fillvalue=0)]))
                for k, (e, r) in enumerate(zip(row, rec)) if tuple(e) != r]
@@ -357,48 +357,57 @@ def _recurrence(num, den, step):
     return out
 
 
-def _first_non_identity(a, b, steps, before):
+def _read(table, step):
+    # a table with its _recurrence against step and its common denominator
+    num, den = _numerators(table)
+    return table, _recurrence(num, den, step), den
+
+
+def _first_miss(a, b, c, before):
     # the first (n, m) before ``before`` in row-major order at which the
-    # product P[n][m] = sum_k a[n][k] b[k][m] differs from δ(n, m), or None.
-    # Through _recurrence (``steps`` holds the step weights of a and of b)
-    # each table reads A[n][k] = A[n-1][k-1] + wA(n-1, k) A[n-1][k] +
-    # rA[n][k]; putting both into the sum gives, for any tables and weights,
+    # product P[n][m] = sum_k a[n][k] b[k][m] differs from the target
+    # c[n][m], or None; a, b and c as _read returns them.  Through
+    # _recurrence each table reads A[n][k] = A[n-1][k-1] + wA(n-1, k)
+    # A[n-1][k] + rA[n][k]; putting a's and b's into the sum gives
     #   P[n][m] = P[n-1][m-1] + W_m P[n-1][m]
     #           + sum_{j=m+1..n-1} (W_j - W_m) A[n-1][j] B[j][m]
     #           + sum_j A[n-1][j] rB[j+1][m] + sum_k rA[n][k] B[k][m]
     # with W_j = wA(n-1, j) + wB(j, m).  Every entry before the first hit
-    # is δ, so row n-1 is known and P[n][m] = δ(n, m) exactly when the
-    # terms after P[n-1][m-1] sum to zero.  They take λ-products only where
-    # W_j varies with j or a residual is nonzero: W_j is m-n+1 for S1·S2
-    # and S1deg·S2deg and 0 for S2·S1 whatever j is, and a table the
-    # recurrence built has no residual.
+    # is c's; less c's own recurrence, P[n][m] - C[n][m] is the three sums
+    # plus (W_m - wC(n-1, m)) C[n-1][m] - rC[n][m].  These take λ-products
+    # only where W_j varies with j, W_m differs from wC or a residual is
+    # nonzero.  Whatever j is, W_j is m-n+1 for S1·S2 and S1deg·S2deg and 0
+    # for S2·S1 against the identity's 0, and -(n-1)λ for S2deg·S1 against
+    # the falling basis's own; a table its recurrence built has no residual.
+    (a, ra, da), (b, rb, db), (c, rc, dc) = a, b, c
     size = len(a)
-    (na, da), (nb, db) = _numerators(a), _numerators(b)
-    ra, rb = _recurrence(na, da, steps[0]), _recurrence(nb, db, steps[1])
     # b's weights wB(j, m), j >= m, and its residuals as (row, value), by column m
     bcols = [([r[0][m] for r in rb[m + 1 :]], [r[1][m] for r in rb[m + 1 :]]) for m in range(size)]
     bres = [[] for _ in range(size)]
     for i, (_, _, res) in enumerate(rb[1:], 1):
-        for m, c in res:
-            bres[m].append((i, LambdaPoly._new(list(c), db)))
+        for m, x in res:
+            bres[m].append((i, LambdaPoly._new(list(x), db)))
     stop = before or (size, 0)
-    if stop > (0, 0) and a[0][0] * b[0][0] != LP_ONE:
+    if stop > (0, 0) and a[0][0] * b[0][0] != c[0][0]:
         return 0, 0
     for n in range(1, min(stop[0] + 1, size)):
-        wa, wb, res = ra[n]
-        res, up = [(k, LambdaPoly._new(list(c), da)) for k, c in res], a[n - 1]
+        (wa, wb, res), (wca, wcb, cres), up = ra[n], rc[n], a[n - 1]
+        res = [(k, LambdaPoly._new(list(x), da)) for k, x in res]
+        cres = {m: LambdaPoly._new([-v for v in x], dc) for m, x in cres}
         for m in range(n + 1 if n < stop[0] else stop[1]):
             terms = [(r, b[k][m]) for k, r in res if k >= m]
             terms += [(up[i - 1], r) for i, r in bres[m] if i <= n]
+            if m in cres:
+                terms.append((cres[m], LP_ONE))
             if m < n:
                 sa, sb = list(map(add, wa[m:n], bcols[m][0])), list(map(add, wb[m:n], bcols[m][1]))
                 w = sa[0], sb[0]
                 if sa.count(w[0]) < len(sa) or sb.count(w[1]) < len(sb):
                     terms += [(LambdaPoly._new([x - w[0], y - w[1]]) * up[j], b[j][m])
                               for j, x, y in zip(count(m), sa, sb) if (x, y) != w]
-                if m == n - 1 and w != (0, 0):
-                    terms.append((LambdaPoly._new(list(w)), LP_ONE))
-            if terms and LAMBDA_RING._dot(terms):
+                if w != (wca[m], wcb[m]) and c[n - 1][m]:
+                    terms.append((LambdaPoly._new([w[0] - wca[m], w[1] - wcb[m]]), c[n - 1][m]))
+            if terms and LambdaPoly._dot(terms):
                 return n, m
     return None
 
@@ -409,36 +418,36 @@ def check_E04(n_max=40, perturbed=False):
     both composition orders, deformed pair in one, plus reconstruction
     of both falling-factorial bases"""
     tables = {k: fam.triangular_table(k, n_max) for k in fam.STIRLING_KINDS}
-    s1d, s2d = tables["S1deg"], tables["S2deg"]
-    for n in range(min(n_max, 12) + 1):
-        for basis, table, by, want in (
-            ("deformed", s2d, fam.falling_factorial, fam.falling_factorial_lambda(n)),
-            ("classical", s1d, fam.falling_factorial_lambda, fam.falling_factorial(n)),
-        ):
-            rebuilt = XPOLY_RING._dot((XPoly.coerce(e), by(k)) for k, e in enumerate(table[n]))
-            yield {"n": n, "basis": basis}, rebuilt, want
     if perturbed and n_max >= 2:
-        row = s1d[2]
-        tables["S1deg"] = (*s1d[:2], (row[0], row[1] + 1, *row[2:]), *s1d[3:])
-    # the first (n, m) where a product is not the identity, the classical
-    # pairs ahead of the deformed one at the same (n, m); its entry is
-    # then recomputed as the λ-dot for the counterexample
+        s1d = tables["S1deg"]
+        tables["S1deg"] = (*s1d[:2], (s1d[2][0], s1d[2][1] + 1, *s1d[2][2:]), *s1d[3:])
+    # the targets: the identity I, and T(n, k) = [x^k] (x)_{n,λ}, whose step
+    # is (0, -n) since (x)_{n+1,λ} = (x)_{n,λ} (x - nλ)
+    tables["I"] = tuple((LP_ZERO,) * n + (LP_ONE,) for n in range(n_max + 1))
+    tables["T"] = tuple(tuple(map(fam.falling_factorial_lambda(n).coeff, range(n + 1)))
+                        for n in range(n_max + 1))
+    steps = {**fam._STEP, "I": lambda n, k: (0, 0), "T": lambda n, k: (0, -n)}
+    read = {k: _read(t, steps[k]) for k, t in tables.items()}
+    # the first (n, m) where a product misses its target, an earlier product
+    # ahead of a later one at the same (n, m); its entry is then recomputed
+    # as the λ-dot for the counterexample.  S2deg·S1 = T rebuilds the
+    # deformed basis from the classical one.  The classical basis from the
+    # deformed one, S1deg·T = S1, is not a product of its own: it is
+    # S1deg·S2deg·S1, so it holds once S1deg·S2deg = I and S2deg·S1 = T do
     found = None
-    for pair, ka, kb in (("classical", "S1", "S2"), ("classical", "S2", "S1"),
-                         ("deformed", "S1deg", "S2deg")):
-        a, b = tables[ka], tables[kb]
-        at = _first_non_identity(a, b, (fam._STEP[ka], fam._STEP[kb]), found and found[0])
+    legs = ((("pair", "classical"), "S1", "S2", "I"), (("pair", "classical"), "S2", "S1", "I"),
+            (("pair", "deformed"), "S1deg", "S2deg", "I"), (("basis", "deformed"), "S2deg", "S1", "T"))
+    for leg, ka, kb, kc in legs:
+        at = _first_miss(read[ka], read[kb], read[kc], found and found[0])
         if at is not None:
-            found = at, pair, a, b
+            found = at, leg, tables[ka], tables[kb], tables[kc]
     if found is None:
         return
-    (n, m), pair, a, b = found
-    want = RAT_ONE if n == m else RAT_ZERO
-    val = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
-    if pair == "classical":
-        yield {"n": n, "m": m, "pair": pair}, val.constant_value(), want
-    else:
-        yield {"n": n, "m": m, "pair": pair}, val, LambdaPoly.const(want)
+    (n, m), (key, kind), a, b, c = found
+    val, want = LambdaPoly._dot((a[n][k], b[k][m]) for k in range(m, n + 1)), c[n][m]
+    if kind == "classical":
+        val, want = val.constant_value(), want.constant_value()
+    yield {"n": n, "m": m, key: kind}, val, want
 
 
 @_check("E40", fault="divides the Bernoulli closed form by m+2 instead of m+1")
@@ -482,7 +491,7 @@ def check_E50(m_max=8, r_max=4, order=16, perturbed=False):
     # r runs outside, so the first failure is the least (r, m)
     falling = [row for _, row in zip(range(m_max + 1), _falling_rows(order))]
     for r in range(1, r_max + 1):
-        binom = Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LAMBDA_RING)
+        binom = Series("x", order, [comb(r + k - shift, k) for k in range(order + 1)], LambdaPoly)
         geometric = [fam.geometric_r(l, r) for l in range(m_max + 1)]
         for m, weights in enumerate(falling):
             num = _s1_mobius_numerator(m, geometric.__getitem__)
@@ -511,10 +520,10 @@ def check_R9(n_max=16, perturbed=False):
     mhalf = Rational(-1, 2)
     for n in range(n_max + 1):
         weights = [_s1_lambda_weight(n, l) for l in range(n + 1)]
-        via_geom = LAMBDA_RING._dot(
+        via_geom = LambdaPoly._dot(
             (w, fam.geometric(l).eval_x(mhalf)) for l, w in enumerate(weights) if w
         )
-        via_euler = LAMBDA_RING._dot(
+        via_euler = LambdaPoly._dot(
             (w, fam.eulerian_poly(l).eval_x(-1) * Rational(1, 2 ** (l + 1)))
             for l, w in enumerate(weights)
             if w
@@ -581,7 +590,7 @@ def _gf_consistency(family, order=16, perturbed=False):
         # the series must also solve its defining equation: product with
         # (deformed exponential - 1)/t is exactly 1
         shifted = [u / factorial(m + 1) for m, u in zip(range(order + 1), _unit_fallings())]
-        prod = s * Series("t", order, shifted, LAMBDA_RING)
+        prod = s * Series("t", order, shifted, LambdaPoly)
         for n in range(order + 1):
             yield {"n": n, "leg": "defining-equation"}, prod.coeff(n), LP_ONE if n == 0 else LP_ZERO
 

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 
+# second names of the two rings, read by the tests and the benchmark's ops
+# probe (perfbench/child.py); the package itself writes LambdaPoly and XPoly
 LAMBDA_RING = LambdaPoly
 XPOLY_RING = XPoly
 

@@ -568,6 +568,18 @@ def test_a_huge_geom_r_order_is_refused_before_it_is_computed(capsys):
     assert out.rstrip("\n").endswith(f" + {rising_product(r, 100)}x^100")
 
 
+@pytest.mark.parametrize("x, code, out", [("0", 0, "0\n"), ("1", 2, "")])
+def test_a_huge_geom_r_order_at_a_given_x_is_fast(capsys, x, code, out):
+    # the weights are one running product; a result past the digit limit
+    # is refused naming --r as well as --x and --lambda
+    t0 = time.perf_counter()
+    got = run_cli(capsys, "eval", "--family", "geom_r", "--n", "100", "--r", "1" + "0" * 4000, "--x", x)
+    assert time.perf_counter() - t0 < 3
+    assert got[:2] == (code, out)
+    if code:
+        assert "--r, --x or --lambda is too large" in got[2]
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "degenpoly.cli", "eval", "--family", "geometric", "--n", "3", "--x", "1"],

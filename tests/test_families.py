@@ -277,6 +277,14 @@ def test_rising_product():
     assert all(rising_product(1, k) == math.factorial(k) for k in range(8))
 
 
+def test_geometric_r_weights_are_the_rising_products():
+    # geometric_r builds its weights as one running product
+    for r in (1, 2, 5, 10**30 + 7):
+        for n in range(9):
+            want = XPoly(stirling("S2", n, k) * rising_product(r, k) for k in range(n + 1))
+            assert geometric_r(n, r) == want, (r, n)
+
+
 # ---------------------------------------------------------------------------
 # named families, frozen small cases
 

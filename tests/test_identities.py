@@ -21,8 +21,9 @@ from degenpoly.identities import (
     _CHECKS,
     _check,
     _falling_rows,
-    _first_non_identity,
+    _first_miss,
     _numerators,
+    _read,
     _recurrence,
     _inner_power_rows,
     _poly_battery,
@@ -419,20 +420,55 @@ def test_DEG_reads_the_bell_numbers_up_to_n_max(monkeypatch):
     assert run_check("DEG", {"n_max": 17}).ok
 
 
-def _first_bad_product(a, b):
+def _first_bad_product(a, b, c=None):
     # the symbolic product, each entry one λ-dot, kept as the reference the
     # point check must reproduce: the first (n, m) whose entry is not
-    # δ(n, m), with that entry, or None
+    # c[n][m] (δ(n, m) without c), with that entry, or None
     for n in range(len(a)):
         for m in range(n + 1):
             val = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
-            if val != (1 if n == m else 0):
+            if val != (c[n][m] if c else 1 if n == m else 0):
                 return (n, m), val
     return None
 
 
 def _steps(ka, kb):
     return fam._STEP[ka], fam._STEP[kb]
+
+
+def _first_non_identity(a, b, steps, before):
+    eye = tuple((LP_ZERO,) * n + (LP_ONE,) for n in range(len(a)))
+    return _first_miss(_read(a, steps[0]), _read(b, steps[1]), _read(eye, lambda n, k: (0, 0)), before)
+
+
+def _basis_table(n_max):
+    # T(n, k) = [x^k] (x)_{n,λ}, the target of S2deg·S1
+    return [[fam.falling_factorial_lambda(n).coeff(k) for k in range(n + 1)] for n in range(n_max + 1)]
+
+
+def _basis_step(n, k):
+    # T's row recurrence: (x)_{n+1,λ} = (x)_{n,λ} (x - nλ)
+    return 0, -n
+
+
+# E04's products, each as (reported key and kind, factors, target or None
+# for the identity), in the order that breaks ties at one (n, m)
+E04_PRODUCTS = ((("pair", "classical"), "S1", "S2", None), (("pair", "classical"), "S2", "S1", None),
+                (("pair", "deformed"), "S1deg", "S2deg", None), (("basis", "deformed"), "S2deg", "S1", "T"))
+
+
+def _first_E04_hit(n_max):
+    # the earliest symbolic miss over E04's products, ties going to the
+    # earlier product: (indices, product entry, target entry), or None
+    tables = {k: fam.triangular_table(k, n_max) for k in fam.STIRLING_KINDS}
+    tables["T"], hit = _basis_table(n_max), None
+    for (key, kind), ka, kb, kc in E04_PRODUCTS:
+        bad = _first_bad_product(tables[ka], tables[kb], tables.get(kc))
+        if bad and (hit is None or bad[0] < hit[0]):
+            (n, m), val = bad
+            want = tables[kc][n][m] if kc else LambdaPoly.const(1 if n == m else 0)
+            hit = (n, m), {"n": n, "m": m, key: kind}, val, want
+    return hit and hit[1:]
 
 
 PAIRS = (("S1", "S2"), ("S2", "S1"), ("S1deg", "S2deg"))
@@ -449,7 +485,9 @@ def _first_non_identity_by_horner(a, b, before):
     # the point check as it was before the rows came from their recurrence,
     # kept as the reference the recurrence route must reproduce: every
     # entry a row or column needs is evaluated at each λ = t by Horner's rule
-    size = len(a)
+    size, stop = len(a), before or (len(a), 0)
+    if stop > (0, 0) and a[0][0] * b[0][0] != LP_ONE:
+        return 0, 0
     (a, da), (b, db) = _numerators(a), _numerators(b)
 
     def values(entries, t):
@@ -467,7 +505,7 @@ def _first_non_identity_by_horner(a, b, before):
     bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
     need = [[max(a + b for a, b in zip(adeg[n][m:], bdeg[m])) for m in range(n + 1)]
             for n in range(size)]
-    stop, hit = before or (size, 0), None
+    hit = None
     for t in range(max(max(r) for r in need) + 1):
         cols = {}
         for n in range(size):
@@ -513,17 +551,19 @@ def _first_non_identity_by_points(a, b, steps, before):
     # the point check as it was before the product's own recurrence, kept
     # as the reference that route must reproduce: the sum has λ-degree at
     # most D(n, m) = max_k deg a[n][k] + deg b[k][m], so its values at
-    # λ = 0..D(n, m) decide it, each row read through _recurrence.  When
-    # every D(n, m) is negative it evaluates no point and returns None,
-    # even for a product that is 0 at (0, 0)
-    size = len(a)
+    # λ = 0..D(n, m) decide it, each row read through _recurrence.  It
+    # starts with the (0, 0) test: when every D(n, m) is negative it
+    # evaluates no point, and would miss a product that is 0 at (0, 0)
+    size, stop = len(a), before or (len(a), 0)
+    if stop > (0, 0) and a[0][0] * b[0][0] != LP_ONE:
+        return 0, 0
     (a, da), (b, db) = _numerators(a), _numerators(b)
     top = max(len(c) for row in (*a, *b) for c in row)
     none = -2 * top  # the degree of a zero entry: no sum with it is >= 0
     adeg = [[len(c) - 1 if c else none for c in row] for row in a]
     bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
     need = [[max(map(add, adeg[n][m:], bdeg[m])) for m in range(n + 1)] for n in range(size)]
-    stop, hit, recs = before or (size, 0), None, None
+    hit, recs = None, None
     for t in range(max(max(r) for r in need) + 1):
         if t:
             recs = recs or (_recurrence(a, da, steps[0]), _recurrence(b, db, steps[1]))
@@ -570,9 +610,13 @@ def test_the_recurrence_route_agrees_with_horner_on_true_tables():
 def test_a_product_whose_entries_are_all_zero_is_not_the_identity():
     # every degree bound is negative here, so a route that evaluates the
     # product at λ = 0..bound evaluates nothing and misses (0, 0)
-    steps = _steps("S2", "S1")
-    assert _first_non_identity(((LP_ZERO,),), fam.triangular_table("S1", 0), steps, None) == (0, 0)
-    assert _first_non_identity(((LP_ZERO,),), fam.triangular_table("S1", 0), steps, (0, 0)) is None
+    steps, zero, s1 = _steps("S2", "S1"), ((LP_ZERO,),), fam.triangular_table("S1", 0)
+    assert _first_non_identity(zero, s1, steps, None) == (0, 0)
+    assert _first_non_identity(zero, s1, steps, (0, 0)) is None
+    assert _first_non_identity_by_horner(zero, s1, None) == (0, 0)
+    assert _first_non_identity_by_horner(zero, s1, (0, 0)) is None
+    assert _first_non_identity_by_points(zero, s1, steps, None) == (0, 0)
+    assert _first_non_identity_by_points(zero, s1, steps, (0, 0)) is None
 
 
 # each corruption of one table entry in the seeded differential test
@@ -597,31 +641,36 @@ def _wrong_step(step, rng):
     return wrong
 
 
-@pytest.mark.parametrize("kinds", PAIRS)
+@pytest.mark.parametrize("kinds", PAIRS + (("S2deg", "S1", "T"),))
 def test_the_product_recurrence_agrees_with_the_symbolic_product(kinds):
     # seeded trials at n_max <= 18: a corrupted entry (row 0 included) of
-    # either table, wrong step weights on either table, and a random stop
+    # any table but the identity, wrong step weights on any of them, and a
+    # random stop; kinds names the two factors, and T the target when it
+    # is not the identity
     rng = random.Random(f"{kinds}-24")
     for trial in range(200):
         size = rng.randint(0, 18) + 1
-        tables = [[list(r) for r in fam.triangular_table(kind, size - 1)] for kind in kinds]
+        tables = [[list(r) for r in (_basis_table(size - 1) if kind == "T" else
+                                     fam.triangular_table(kind, size - 1))] for kind in kinds]
         for _ in range(rng.choice((0, 1, 1, 2))):
             t = rng.choice(tables)
             n = 0 if rng.random() < 0.1 else rng.randrange(size)
             k = rng.randint(0, n)
             t[n][k] = rng.choice(DIFF_CORRUPTIONS)(t[n][k], rng)
-        steps = [fam._STEP[kind] for kind in kinds]
+        steps = [_basis_step if kind == "T" else fam._STEP[kind] for kind in kinds]
         if rng.random() < 0.3:
-            i = rng.randrange(2)
+            i = rng.randrange(len(steps))
             steps[i] = _wrong_step(steps[i], rng)
         stop = rng.randint(0, size)
         before = rng.choice((None, (stop, rng.randint(0, stop))))
-        a, b = tables
-        bad = _first_bad_product(a, b)
+        bad = _first_bad_product(*tables)
         want = bad[0] if bad and (before is None or bad[0] < before) else None
+        if len(tables) == 3:
+            assert _first_miss(*map(_read, tables, steps), before) == want, (trial, size, before)
+            continue
+        a, b = tables
         assert _first_non_identity(a, b, steps, before) == want, (trial, size, before)
-        if size > 1:
-            assert _first_non_identity_by_points(a, b, steps, before) == want, (trial, size, before)
+        assert _first_non_identity_by_points(a, b, steps, before) == want, (trial, size, before)
 
 
 def test_the_residual_rows_of_true_tables_are_empty():
@@ -640,6 +689,20 @@ def test_the_residual_of_a_corrupted_entry_covers_it_and_the_row_after():
     assert [n for n, r in enumerate(res) if r] == [7, 8]
     assert res[7] == [(3, (0, 1))]
     assert [k for k, _ in res[8]] == [3, 4]
+
+
+def test_an_entry_above_its_row_degree_keeps_the_next_residual_exact():
+    # λ^30 added to S2deg(5, 1) and to T(5, 1) leaves S2deg·S1 = T true
+    # everywhere; row 6 must read the raised entry in full, not cut to the
+    # length of its neighbour S2deg(5, 2), or the route sees a false miss
+    a, c = [list(r) for r in fam.triangular_table("S2deg", 10)], _basis_table(10)
+    a[5][1], c[5][1] = a[5][1] + LAM**30, c[5][1] + LAM**30
+    b = fam.triangular_table("S1", 10)
+    num, den = _numerators(a)
+    assert dict(_recurrence(num, den, fam._STEP["S2deg"])[6][2])[2] == (0,) * 30 + (-1,)
+    assert _first_bad_product(a, b, c) is None
+    assert _first_miss(_read(a, fam._STEP["S2deg"]), _read(b, fam._STEP["S1"]), _read(c, _basis_step),
+                       None) is None
 
 
 def _vanishing_on_points(top):
@@ -664,8 +727,8 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("kind, n, k", [("S1deg", 14, 5), ("S2deg", 15, 4), ("S2deg", 16, 16)])
 def test_E04_point_check_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
-    # rows above 12 are past the basis reconstruction, so only the
-    # deformed product can see the corrupted entry
+    # only the deformed pair reads S1deg; S2deg also enters the basis
+    # product S2deg·S1 = T, which meets the corrupted row first at m = 1
     real = fam.triangular_table
 
     def corrupted(table_kind, n_max):
@@ -685,12 +748,28 @@ def test_E04_point_check_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
     assert _first_non_identity_by_horner(s1d, s2d, None) == (bad_n, bad_m)
     assert _first_non_identity(s1d, s2d, steps, None) == (bad_n, bad_m)
     assert _first_non_identity(s1d, s2d, tuple(map(_off_by_one, steps)), None) == (bad_n, bad_m)
+    indices, val, want = _first_E04_hit(N_MAX_CORRUPT)
+    assert indices == ({"n": n, "m": 1, "basis": "deformed"} if kind == "S2deg"
+                       else {"n": bad_n, "m": bad_m, "pair": "deformed"})
     v = check_E04(n_max=N_MAX_CORRUPT)
     assert not v.ok
-    assert v.counterexample["indices"] == {"n": bad_n, "m": bad_m, "pair": "deformed"}
+    assert v.counterexample["indices"] == indices
     lhs = v.counterexample["lhs"]
     assert type(lhs) is LambdaPoly and (lhs.num, lhs.den) == (val.num, val.den)
-    assert v.counterexample["rhs"] == LambdaPoly.const(1 if bad_n == bad_m else 0)
+    assert v.counterexample["rhs"] == want
+
+
+def test_E04_checks_the_deformed_basis_up_to_n_max(monkeypatch):
+    # a fault in (x)_{20,λ} that vanishes at λ = 0, so DEG cannot see it
+    real = fam.falling_factorial_lambda
+    monkeypatch.setattr(fam, "falling_factorial_lambda",
+                        lambda n: real(n) + XPoly.monomial(LAM, 1) if n == 20 else real(n))
+    v = check_E04(n_max=40)
+    assert not v.ok
+    assert v.counterexample["indices"] == {"n": 20, "m": 1, "basis": "deformed"}
+    assert v.counterexample["lhs"] == real(20).coeff(1)
+    assert v.counterexample["rhs"] == real(20).coeff(1) + LAM
+    assert check_E04(n_max=19).ok
 
 
 def test_the_point_check_reports_the_first_of_two_faults():
