@@ -116,13 +116,10 @@ def falling_factorial_lambda(n: int) -> XPoly:
     return _falling_deg(n)
 
 
-# step weight a + bλ, as (a, b), in entry(n+1,k) = entry(n,k-1) + w(n,k) entry(n,k)
-_STEP = {
-    "S1": lambda n, k: (-n, 0),
-    "S2": lambda n, k: (k, 0),
-    "S1deg": lambda n, k: (-n, k),
-    "S2deg": lambda n, k: (k, -n),
-}
+# the step weight w(n, k) of entry(n+1,k) = entry(n,k-1) + w(n,k) entry(n,k),
+# linear in (n, k) with no constant term: (an, ak, bn, bk) stands for
+# (an n + ak k) + (bn n + bk k)λ
+_STEP = {"S1": (-1, 0, 0, 0), "S2": (0, 1, 0, 0), "S1deg": (-1, 0, 0, 1), "S2deg": (0, 1, -1, 0)}
 
 
 def _build_row(kind: str, n: int, rows) -> tuple[LambdaPoly, ...]:
@@ -132,10 +129,10 @@ def _build_row(kind: str, n: int, rows) -> tuple[LambdaPoly, ...]:
     if n == 0:
         return (LP_ONE,)
     prev = [()] + [e.num for e in rows[n - 1]] + [()]
-    step = _STEP[kind]
+    an, ak, bn, bk = _STEP[kind]
     row = []
     for k in range(n + 1):
-        a, b = step(n - 1, k)
+        a, b = an * (n - 1) + ak * k, bn * (n - 1) + bk * k
         s, c = prev[k], prev[k + 1]
         terms = zip((*s, *[0] * (len(c) + 1 - len(s))), (*c, 0), (0, *c))
         row.append(LambdaPoly._new([p + a * x + b * y for p, x, y in terms]))

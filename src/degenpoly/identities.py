@@ -27,7 +27,6 @@ import json
 from collections import namedtuple
 from itertools import count, zip_longest
 from math import comb, factorial, lcm
-from operator import add
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational
 from .poly import (
@@ -58,8 +57,8 @@ __all__ = [
 
 # largest bound a check or a table accepts: the default bounds reach 50.
 # At 100 (order 64 where a check takes one) the slowest checks are L2 at
-# about 9 s and T5T6 at 3.7 s, and E04 takes 0.26 s; all 18 take about 21 s
-# in one process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
+# about 8.6 s and T5T6 at 3.7 s, and E04 takes 0.17 s; all 18 take about
+# 19 s in one process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
 MAX_BOUND = 100
 
 
@@ -334,33 +333,34 @@ def _numerators(table):
 
 def _recurrence(num, den, step):
     # a table's numerators (over den) against its row recurrence
-    # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), (a, b) =
-    # step(n-1, k), started from row 0 = (1): per row the weights a and b
-    # as two lists, and the residual, stored row minus recurrence on the
-    # stored row before, as (k, numerators) for each entry that differs.
-    # This restates families._build_row's step on purpose, not by calling
-    # it: with one shared kernel, a fault in it would leave every residual
-    # empty, _first_miss would check the tables the correct weights build
-    # instead of the stored ones, and every one of E04's products would pass
-    # on wrong tables
+    # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), started from
+    # row 0 = (1), with a = an (n-1) + ak k and b = bn (n-1) + bk k for the
+    # step data (an, ak, bn, bk): per row, the residual, stored row minus
+    # recurrence on the stored row before, as (k, numerators) for each entry
+    # that differs.  This restates families._build_row's evaluation of the
+    # data on purpose, not by calling a shared helper: with an evaluator
+    # that dropped bk in both places, S1deg's rows are S1's and its
+    # residuals are empty, and _first_miss passes S1deg·S2deg = I on them
+    an, ak, bn, bk = step
     out = []
     for n, row in enumerate(num):
-        ws, rec = [], [(den,)]
+        rec = [(den,)]
         if n:
-            ws, rec, prev = [step(n - 1, k) for k in range(n + 1)], [], num[n - 1]
-            for (a, b), s, c in zip(ws, [(), *prev], [*prev, ()]):
+            rec, prev = [], num[n - 1]
+            for k, s, c in zip(count(), [(), *prev], [*prev, ()]):
+                a, b = an * (n - 1) + ak * k, bn * (n - 1) + bk * k
                 terms = zip_longest(s, c, (0, *c), fillvalue=0)
                 rec.append(_strip([p + a * x + b * y for p, x, y in terms]))
-        res = [(k, _strip([x - y for x, y in zip_longest(e, r, fillvalue=0)]))
-               for k, (e, r) in enumerate(zip(row, rec)) if tuple(e) != r]
-        out.append(([a for a, _ in ws], [b for _, b in ws], res))
+        out.append([(k, _strip([x - y for x, y in zip_longest(e, r, fillvalue=0)]))
+                    for k, (e, r) in enumerate(zip(row, rec)) if tuple(e) != r])
     return out
 
 
 def _read(table, step):
-    # a table with its _recurrence against step and its common denominator
+    # a table with its step data, its _recurrence residuals and its common
+    # denominator
     num, den = _numerators(table)
-    return table, _recurrence(num, den, step), den
+    return table, step, _recurrence(num, den, step), den
 
 
 def _first_miss(a, b, c, before):
@@ -374,39 +374,41 @@ def _first_miss(a, b, c, before):
     #           + sum_j A[n-1][j] rB[j+1][m] + sum_k rA[n][k] B[k][m]
     # with W_j = wA(n-1, j) + wB(j, m).  Every entry before the first hit
     # is c's; less c's own recurrence, P[n][m] - C[n][m] is the three sums
-    # plus (W_m - wC(n-1, m)) C[n-1][m] - rC[n][m].  These take λ-products
-    # only where W_j varies with j, W_m differs from wC or a residual is
-    # nonzero.  Whatever j is, W_j is m-n+1 for S1·S2 and S1deg·S2deg and 0
-    # for S2·S1 against the identity's 0, and -(n-1)λ for S2deg·S1 against
-    # the falling basis's own; a table its recurrence built has no residual.
-    (a, ra, da), (b, rb, db), (c, rc, dc) = a, b, c
+    # plus (W_m - wC(n-1, m)) C[n-1][m] - rC[n][m].  The weights being
+    # linear, two constants per product say where λ-products are needed:
+    # the slope d = (ak_A + an_B) + (bk_A + bn_B)λ, with W_j - W_m = (j-m) d,
+    # and the gap g, with W_m - wC(n-1, m) = g0 (n-1) + g1 m + (g2 (n-1) +
+    # g3 m)λ.  On E04's products d is 0, and so is the gap wherever C[n-1][m]
+    # is nonzero: g is 0 for S2·S1 and S2deg·S1, and m - n + 1 for S1·S2
+    # and S1deg·S2deg, 0 on the identity's m = n - 1.  A table its
+    # recurrence built has no residual, so true tables take no λ-product.
+    (a, sa, ra, da), (b, sb, rb, db), (c, sc, rc, dc) = a, b, c
+    d = LambdaPoly._new([sa[1] + sb[0], sa[3] + sb[2]])
+    g = (sa[0] - sc[0], sa[1] + sb[0] + sb[1] - sc[1], sa[2] - sc[2], sa[3] + sb[2] + sb[3] - sc[3])
     size = len(a)
-    # b's weights wB(j, m), j >= m, and its residuals as (row, value), by column m
-    bcols = [([r[0][m] for r in rb[m + 1 :]], [r[1][m] for r in rb[m + 1 :]]) for m in range(size)]
+    # b's residuals as (row, value), by column m
     bres = [[] for _ in range(size)]
-    for i, (_, _, res) in enumerate(rb[1:], 1):
+    for i, res in enumerate(rb[1:], 1):
         for m, x in res:
             bres[m].append((i, LambdaPoly._new(list(x), db)))
     stop = before or (size, 0)
     if stop > (0, 0) and a[0][0] * b[0][0] != c[0][0]:
         return 0, 0
     for n in range(1, min(stop[0] + 1, size)):
-        (wa, wb, res), (wca, wcb, cres), up = ra[n], rc[n], a[n - 1]
-        res = [(k, LambdaPoly._new(list(x), da)) for k, x in res]
-        cres = {m: LambdaPoly._new([-v for v in x], dc) for m, x in cres}
+        up = a[n - 1]
+        res = [(k, LambdaPoly._new(list(x), da)) for k, x in ra[n]]
+        cres = {m: LambdaPoly._new([-v for v in x], dc) for m, x in rc[n]}
         for m in range(n + 1 if n < stop[0] else stop[1]):
             terms = [(r, b[k][m]) for k, r in res if k >= m]
             terms += [(up[i - 1], r) for i, r in bres[m] if i <= n]
             if m in cres:
                 terms.append((cres[m], LP_ONE))
             if m < n:
-                sa, sb = list(map(add, wa[m:n], bcols[m][0])), list(map(add, wb[m:n], bcols[m][1]))
-                w = sa[0], sb[0]
-                if sa.count(w[0]) < len(sa) or sb.count(w[1]) < len(sb):
-                    terms += [(LambdaPoly._new([x - w[0], y - w[1]]) * up[j], b[j][m])
-                              for j, x, y in zip(count(m), sa, sb) if (x, y) != w]
-                if w != (wca[m], wcb[m]) and c[n - 1][m]:
-                    terms.append((LambdaPoly._new([w[0] - wca[m], w[1] - wcb[m]]), c[n - 1][m]))
+                if d:
+                    terms += [(d * (j - m) * up[j], b[j][m]) for j in range(m + 1, n)]
+                gap = g[0] * (n - 1) + g[1] * m, g[2] * (n - 1) + g[3] * m
+                if gap != (0, 0) and c[n - 1][m]:
+                    terms.append((LambdaPoly._new(list(gap)), c[n - 1][m]))
             if terms and LambdaPoly._dot(terms):
                 return n, m
     return None
@@ -422,11 +424,11 @@ def check_E04(n_max=40, perturbed=False):
         s1d = tables["S1deg"]
         tables["S1deg"] = (*s1d[:2], (s1d[2][0], s1d[2][1] + 1, *s1d[2][2:]), *s1d[3:])
     # the targets: the identity I, and T(n, k) = [x^k] (x)_{n,λ}, whose step
-    # is (0, -n) since (x)_{n+1,λ} = (x)_{n,λ} (x - nλ)
+    # weight is -nλ since (x)_{n+1,λ} = (x)_{n,λ} (x - nλ)
     tables["I"] = tuple((LP_ZERO,) * n + (LP_ONE,) for n in range(n_max + 1))
     tables["T"] = tuple(tuple(map(fam.falling_factorial_lambda(n).coeff, range(n + 1)))
                         for n in range(n_max + 1))
-    steps = {**fam._STEP, "I": lambda n, k: (0, 0), "T": lambda n, k: (0, -n)}
+    steps = {**fam._STEP, "I": (0, 0, 0, 0), "T": (0, 0, -1, 0)}
     read = {k: _read(t, steps[k]) for k, t in tables.items()}
     # the first (n, m) where a product misses its target, an earlier product
     # ahead of a later one at the same (n, m); its entry is then recomputed
@@ -445,7 +447,7 @@ def check_E04(n_max=40, perturbed=False):
         return
     (n, m), (key, kind), a, b, c = found
     val, want = LambdaPoly._dot((a[n][k], b[k][m]) for k in range(m, n + 1)), c[n][m]
-    if kind == "classical":
+    if kind == "classical" and val.is_constant and want.is_constant:
         val, want = val.constant_value(), want.constant_value()
     yield {"n": n, "m": m, key: kind}, val, want
 

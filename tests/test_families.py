@@ -190,9 +190,10 @@ def _build_row_by_lambda_polys(kind, n, rows):
     if n == 0:
         return (LP_ONE,)
     prev = rows[n - 1] + (LP_ZERO,)
-    step = families._STEP[kind]
+    an, ak, bn, bk = families._STEP[kind]
     return tuple(
-        (prev[k - 1] if k else LP_ZERO) + LambdaPoly(step(n - 1, k)) * prev[k]
+        (prev[k - 1] if k else LP_ZERO)
+        + LambdaPoly((an * (n - 1) + ak * k, bn * (n - 1) + bk * k)) * prev[k]
         for k in range(n + 1)
     )
 

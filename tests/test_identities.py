@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import time
-from itertools import repeat, zip_longest
+from itertools import product, zip_longest
 from operator import add, mul
 from pathlib import Path
 
@@ -438,7 +438,7 @@ def _steps(ka, kb):
 
 def _first_non_identity(a, b, steps, before):
     eye = tuple((LP_ZERO,) * n + (LP_ONE,) for n in range(len(a)))
-    return _first_miss(_read(a, steps[0]), _read(b, steps[1]), _read(eye, lambda n, k: (0, 0)), before)
+    return _first_miss(_read(a, steps[0]), _read(b, steps[1]), _read(eye, (0, 0, 0, 0)), before)
 
 
 def _basis_table(n_max):
@@ -446,9 +446,8 @@ def _basis_table(n_max):
     return [[fam.falling_factorial_lambda(n).coeff(k) for k in range(n + 1)] for n in range(n_max + 1)]
 
 
-def _basis_step(n, k):
-    # T's row recurrence: (x)_{n+1,λ} = (x)_{n,λ} (x - nλ)
-    return 0, -n
+# T's step data: (x)_{n+1,λ} = (x)_{n,λ} (x - nλ), step weight -nλ
+BASIS_STEP = (0, 0, -1, 0)
 
 
 # E04's products, each as (reported key and kind, factors, target or None
@@ -533,14 +532,15 @@ def _horner(c, t: int) -> int:
     return v
 
 
-def _point_rows(rec, den, t: int):
-    # the rows of a table at λ = t from its _recurrence: row n is the
-    # recurrence at t applied to row n-1, plus the residual's values, so it
-    # equals the stored row's values whatever the step weights are
+def _point_rows(rec, step, den, t: int):
+    # the rows of a table at λ = t from its _recurrence against step: row n
+    # is the recurrence at t applied to row n-1, plus the residual's values,
+    # so it equals the stored row's values whatever the step data are
+    an, ak, bn, bk = step
     row = [den]
-    for n, (wa, wb, res) in enumerate(rec):
+    for n, res in enumerate(rec):
         if n:
-            w = map(add, wa, map(mul, wb, repeat(t)))
+            w = [an * (n - 1) + ak * k + (bn * (n - 1) + bk * k) * t for k in range(n + 1)]
             row = list(map(add, [0, *row], map(mul, w, [*row, 0])))
         for k, c in res:
             row[k] += _horner(c, t)
@@ -567,7 +567,7 @@ def _first_non_identity_by_points(a, b, steps, before):
     for t in range(max(max(r) for r in need) + 1):
         if t:
             recs = recs or (_recurrence(a, da, steps[0]), _recurrence(b, db, steps[1]))
-            rows_a, rows_b = _point_rows(recs[0], da, t), _point_rows(recs[1], db, t)
+            rows_a, rows_b = _point_rows(recs[0], steps[0], da, t), _point_rows(recs[1], steps[1], db, t)
         else:
             rows_a, rows_b = (([c[0] if c else 0 for c in row] for row in x) for x in (a, b))
         # column m of b at t, from row m down
@@ -585,12 +585,9 @@ def _first_non_identity_by_points(a, b, steps, before):
 
 
 def _off_by_one(step):
-    # a wrong recurrence: every step weight a + bλ becomes a + 1 + bλ
-    def wrong(n, k):
-        a, b = step(n, k)
-        return a + 1, b
-
-    return wrong
+    # a wrong recurrence: every step weight a + bλ becomes a + k + bλ
+    an, ak, bn, bk = step
+    return an, ak + 1, bn, bk
 
 
 def test_the_recurrence_route_agrees_with_horner_on_true_tables():
@@ -630,15 +627,13 @@ DIFF_CORRUPTIONS = (
 
 
 def _wrong_step(step, rng):
-    # step weights off by (da, db) everywhere or at one (n, k) only
-    da, db = rng.choice(((1, 0), (0, 1), (-1, 2), (3, -1)))
-    at = rng.choice((None, (rng.randint(0, 17), rng.randint(0, 18))))
-
-    def wrong(n, k):
-        a, b = step(n, k)
-        return (a + da, b + db) if at is None or at == (n, k) else (a, b)
-
-    return wrong
+    # step data with one or two of its four coefficients offset.  A wrong
+    # weight at one (n, k) only is not step data: it is a residual at that
+    # entry, which the corrupted entries already give
+    wrong = list(step)
+    for i in rng.sample(range(4), rng.choice((1, 2))):
+        wrong[i] += rng.choice((-2, -1, 1, 3))
+    return tuple(wrong)
 
 
 @pytest.mark.parametrize("kinds", PAIRS + (("S2deg", "S1", "T"),))
@@ -657,7 +652,7 @@ def test_the_product_recurrence_agrees_with_the_symbolic_product(kinds):
             n = 0 if rng.random() < 0.1 else rng.randrange(size)
             k = rng.randint(0, n)
             t[n][k] = rng.choice(DIFF_CORRUPTIONS)(t[n][k], rng)
-        steps = [_basis_step if kind == "T" else fam._STEP[kind] for kind in kinds]
+        steps = [BASIS_STEP if kind == "T" else fam._STEP[kind] for kind in kinds]
         if rng.random() < 0.3:
             i = rng.randrange(len(steps))
             steps[i] = _wrong_step(steps[i], rng)
@@ -678,14 +673,14 @@ def test_the_residual_rows_of_true_tables_are_empty():
         num, den = _numerators(fam.triangular_table(kind, 40))
         rec = _recurrence(num, den, fam._STEP[kind])
         assert len(rec) == 41
-        assert [res for _, _, res in rec] == [[]] * 41, kind
+        assert rec == [[]] * 41, kind
 
 
 def test_the_residual_of_a_corrupted_entry_covers_it_and_the_row_after():
     rows = [list(r) for r in fam.triangular_table("S2deg", 12)]
     rows[7][3] = rows[7][3] + LAM
     num, den = _numerators(rows)
-    res = [r for _, _, r in _recurrence(num, den, fam._STEP["S2deg"])]
+    res = _recurrence(num, den, fam._STEP["S2deg"])
     assert [n for n, r in enumerate(res) if r] == [7, 8]
     assert res[7] == [(3, (0, 1))]
     assert [k for k, _ in res[8]] == [3, 4]
@@ -699,9 +694,9 @@ def test_an_entry_above_its_row_degree_keeps_the_next_residual_exact():
     a[5][1], c[5][1] = a[5][1] + LAM**30, c[5][1] + LAM**30
     b = fam.triangular_table("S1", 10)
     num, den = _numerators(a)
-    assert dict(_recurrence(num, den, fam._STEP["S2deg"])[6][2])[2] == (0,) * 30 + (-1,)
+    assert dict(_recurrence(num, den, fam._STEP["S2deg"])[6])[2] == (0,) * 30 + (-1,)
     assert _first_bad_product(a, b, c) is None
-    assert _first_miss(_read(a, fam._STEP["S2deg"]), _read(b, fam._STEP["S1"]), _read(c, _basis_step),
+    assert _first_miss(_read(a, fam._STEP["S2deg"]), _read(b, fam._STEP["S1"]), _read(c, BASIS_STEP),
                        None) is None
 
 
@@ -770,6 +765,48 @@ def test_E04_checks_the_deformed_basis_up_to_n_max(monkeypatch):
     assert v.counterexample["lhs"] == real(20).coeff(1)
     assert v.counterexample["rhs"] == real(20).coeff(1) + LAM
     assert check_E04(n_max=19).ok
+
+
+def test_E04_reports_a_lambda_dependent_classical_entry_as_a_failure(monkeypatch):
+    # a classical pair's sides are shown as rationals only when both are
+    # constant; S1(5, 2) + λ makes S1·S2 at (5, 1) equal to λ
+    real = fam.triangular_table
+
+    def corrupted(kind, n_max):
+        rows = real(kind, n_max)
+        if kind != "S1" or n_max < 5:
+            return rows
+        rows = [list(r) for r in rows]
+        rows[5][2] = rows[5][2] + LAM
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(fam, "triangular_table", corrupted)
+    v = run_check("E04")
+    assert not v.ok
+    assert v.counterexample == {"indices": {"n": 5, "m": 1, "pair": "classical"}, "lhs": LAM, "rhs": LP_ZERO}
+
+
+@pytest.mark.parametrize("reads_mutant", [True, False], ids=["mutant-data", "true-data"])
+def test_E04_catches_every_one_coefficient_step_mutant(monkeypatch, reads_mutant):
+    # each table kind with one of its four step coefficients off by ±1: the
+    # tables are built by _build_row from the mutant into fresh tuples, not
+    # into the memo, and E04 reads either the mutant data or the true data
+    true_steps = dict(fam._STEP)
+    for kind, i, delta in product(fam.STIRLING_KINDS, range(4), (-1, 1)):
+        mutant = {**true_steps, kind: tuple(c + delta * (j == i) for j, c in enumerate(true_steps[kind]))}
+
+        def built(table_kind, n_max):
+            monkeypatch.setattr(fam, "_STEP", mutant)
+            rows = []
+            for n in range(n_max + 1):
+                rows.append(fam._build_row(table_kind, n, rows))
+            monkeypatch.setattr(fam, "_STEP", mutant if reads_mutant else true_steps)
+            return tuple(rows)
+
+        monkeypatch.setattr(fam, "triangular_table", built)
+        v = check_E04(n_max=12)
+        assert not v.ok, (kind, i, delta)
+        assert (v.counterexample["indices"]["n"], v.counterexample["indices"]["m"]) == (2, 1), (kind, i, delta)
 
 
 def test_the_point_check_reports_the_first_of_two_faults():
