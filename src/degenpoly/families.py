@@ -61,7 +61,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "eulerian_poly",
-    "rising_product",
     "exp_series",
     "e_lambda_series",
     "geom_series",
@@ -90,14 +89,6 @@ def _sequence(step):
             return terms[n]
 
     return term
-
-
-def rising_product(base: int, m: int) -> int:
-    """base (base+1) ... (base+m-1); the empty product is 1."""
-    out = 1
-    for j in range(_index(m, "rising product length")):
-        out *= base + j
-    return out
 
 
 _falling = _sequence(lambda n, f: f[-1] * (X - (n - 1)) if n else XP_ONE)

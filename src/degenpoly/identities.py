@@ -57,8 +57,8 @@ __all__ = [
 
 # largest bound a check or a table accepts: the default bounds reach 50.
 # At 100 (order 64 where a check takes one) the slowest checks are L2 at
-# about 8.6 s and T5T6 at 3.7 s, and E04 takes 0.17 s; all 18 take about
-# 19 s in one process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
+# about 8.0 s and T5T6 at 3.5 s, and E04 takes 0.14 s; all 18 take about
+# 18 s in one process (medians of 5 runs, Python 3.11 on a 2-vCPU x86-64 host)
 MAX_BOUND = 100
 
 
@@ -331,85 +331,61 @@ def _numerators(table):
             for row in table], den
 
 
-def _recurrence(num, den, step):
-    # a table's numerators (over den) against its row recurrence
-    # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), started from
-    # row 0 = (1), with a = an (n-1) + ak k and b = bn (n-1) + bk k for the
-    # step data (an, ak, bn, bk): per row, the residual, stored row minus
-    # recurrence on the stored row before, as (k, numerators) for each entry
-    # that differs.  This restates families._build_row's evaluation of the
-    # data on purpose, not by calling a shared helper: with an evaluator
-    # that dropped bk in both places, S1deg's rows are S1's and its
-    # residuals are empty, and _first_miss passes S1deg·S2deg = I on them
-    an, ak, bn, bk = step
-    out = []
-    for n, row in enumerate(num):
-        rec = [(den,)]
-        if n:
-            rec, prev = [], num[n - 1]
-            for k, s, c in zip(count(), [(), *prev], [*prev, ()]):
-                a, b = an * (n - 1) + ak * k, bn * (n - 1) + bk * k
-                terms = zip_longest(s, c, (0, *c), fillvalue=0)
-                rec.append(_strip([p + a * x + b * y for p, x, y in terms]))
-        out.append([(k, _strip([x - y for x, y in zip_longest(e, r, fillvalue=0)]))
-                    for k, (e, r) in enumerate(zip(row, rec)) if tuple(e) != r])
-    return out
-
-
 def _read(table, step):
-    # a table with its step data, its _recurrence residuals and its common
-    # denominator
+    # a table with its step data and its first row off the recurrence
+    # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), where
+    # a = an (n-1) + ak k and b = bn (n-1) + bk k for the step data
+    # (an, ak, bn, bk): the first row that the recurrence does not give from
+    # the row before, row 0 standing against (1), or len(table) when it
+    # gives every row.  The rows are compared on integer numerators over
+    # one common denominator.  This restates families._build_row's
+    # evaluation of the data on purpose, not by calling a shared helper:
+    # with an evaluator that dropped bk in both places, S1deg's rows are
+    # S1's and every row is given, and _first_miss passes S1deg·S2deg = I
+    an, ak, bn, bk = step
     num, den = _numerators(table)
-    return table, step, _recurrence(num, den, step), den
+    if tuple(num[0][0]) != (den,):
+        return table, step, 0
+    for n in range(1, len(num)):
+        prev = num[n - 1]
+        for k, e, s, c in zip(count(), num[n], [(), *prev], [*prev, ()]):
+            a, b = an * (n - 1) + ak * k, bn * (n - 1) + bk * k
+            terms = zip_longest(s, c, (0, *c), fillvalue=0)
+            if _strip([p + a * x + b * y for p, x, y in terms]) != tuple(e):
+                return table, step, n
+    return table, step, len(num)
 
 
 def _first_miss(a, b, c, before):
     # the first (n, m) before ``before`` in row-major order at which the
     # product P[n][m] = sum_k a[n][k] b[k][m] differs from the target
-    # c[n][m], or None; a, b and c as _read returns them.  Through
-    # _recurrence each table reads A[n][k] = A[n-1][k-1] + wA(n-1, k)
-    # A[n-1][k] + rA[n][k]; putting a's and b's into the sum gives
+    # c[n][m], or None; a, b and c as _read returns them.  In a row below
+    # the first that any of the three leaves its recurrence, each table
+    # reads A[n][k] = A[n-1][k-1] + wA(n-1, k) A[n-1][k]; putting a's and
+    # b's into the sum gives
     #   P[n][m] = P[n-1][m-1] + W_m P[n-1][m]
     #           + sum_{j=m+1..n-1} (W_j - W_m) A[n-1][j] B[j][m]
-    #           + sum_j A[n-1][j] rB[j+1][m] + sum_k rA[n][k] B[k][m]
-    # with W_j = wA(n-1, j) + wB(j, m).  Every entry before the first hit
-    # is c's; less c's own recurrence, P[n][m] - C[n][m] is the three sums
-    # plus (W_m - wC(n-1, m)) C[n-1][m] - rC[n][m].  The weights being
-    # linear, two constants per product say where λ-products are needed:
-    # the slope d = (ak_A + an_B) + (bk_A + bn_B)λ, with W_j - W_m = (j-m) d,
-    # and the gap g, with W_m - wC(n-1, m) = g0 (n-1) + g1 m + (g2 (n-1) +
-    # g3 m)λ.  On E04's products d is 0, and so is the gap wherever C[n-1][m]
-    # is nonzero: g is 0 for S2·S1 and S2deg·S1, and m - n + 1 for S1·S2
-    # and S1deg·S2deg, 0 on the identity's m = n - 1.  A table its
-    # recurrence built has no residual, so true tables take no λ-product.
-    (a, sa, ra, da), (b, sb, rb, db), (c, sc, rc, dc) = a, b, c
-    d = LambdaPoly._new([sa[1] + sb[0], sa[3] + sb[2]])
+    # with W_j = wA(n-1, j) + wB(j, m).  The weights being linear,
+    # W_j - W_m = (j - m) d for the slope d = (ak_A + an_B) + (bk_A + bn_B)λ.
+    # When d is 0 and row n-1 of P is c's, less c's own recurrence,
+    # P[n][m] - C[n][m] is the gap (W_m - wC(n-1, m)) C[n-1][m], where
+    # W_m - wC(n-1, m) = g0 (n-1) + g1 m + (g2 (n-1) + g3 m)λ; row 0 is
+    # (1) in all three.  So those rows take no λ-product, and the rows from
+    # the first off (from row 0 when d is not 0) take each entry as its
+    # own λ-dot.  On E04's products d is 0, and so is the gap wherever
+    # C[n-1][m] is nonzero: g is 0 for S2·S1 and S2deg·S1, and m - n + 1
+    # for S1·S2 and S1deg·S2deg, 0 on the identity's m = n - 1
+    (a, sa, fa), (b, sb, fb), (c, sc, fc) = a, b, c
     g = (sa[0] - sc[0], sa[1] + sb[0] + sb[1] - sc[1], sa[2] - sc[2], sa[3] + sb[2] + sb[3] - sc[3])
-    size = len(a)
-    # b's residuals as (row, value), by column m
-    bres = [[] for _ in range(size)]
-    for i, res in enumerate(rb[1:], 1):
-        for m, x in res:
-            bres[m].append((i, LambdaPoly._new(list(x), db)))
-    stop = before or (size, 0)
-    if stop > (0, 0) and a[0][0] * b[0][0] != c[0][0]:
-        return 0, 0
-    for n in range(1, min(stop[0] + 1, size)):
-        up = a[n - 1]
-        res = [(k, LambdaPoly._new(list(x), da)) for k, x in ra[n]]
-        cres = {m: LambdaPoly._new([-v for v in x], dc) for m, x in rc[n]}
+    proved = 0 if sa[1] + sb[0] or sa[3] + sb[2] else min(fa, fb, fc)
+    stop = before or (len(a), 0)
+    for n in range(min(stop[0] + 1, len(a))):
         for m in range(n + 1 if n < stop[0] else stop[1]):
-            terms = [(r, b[k][m]) for k, r in res if k >= m]
-            terms += [(up[i - 1], r) for i, r in bres[m] if i <= n]
-            if m in cres:
-                terms.append((cres[m], LP_ONE))
-            if m < n:
-                if d:
-                    terms += [(d * (j - m) * up[j], b[j][m]) for j in range(m + 1, n)]
-                gap = g[0] * (n - 1) + g[1] * m, g[2] * (n - 1) + g[3] * m
-                if gap != (0, 0) and c[n - 1][m]:
-                    terms.append((LambdaPoly._new(list(gap)), c[n - 1][m]))
-            if terms and LambdaPoly._dot(terms):
+            if n < proved:
+                miss = m < n and (g[0] * (n - 1) + g[1] * m or g[2] * (n - 1) + g[3] * m) and c[n - 1][m]
+            else:
+                miss = LambdaPoly._dot((a[n][k], b[k][m]) for k in range(m, n + 1)) != c[n][m]
+            if miss:
                 return n, m
     return None
 

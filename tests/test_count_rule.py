@@ -43,7 +43,6 @@ ENTRIES = {
     "geometric_r": (lambda v: fam.geometric_r(2, v), 1),
     "binom_series-r": (lambda v: fam.binom_series(v, 2), 1),
     "binom_series-order": (lambda v: fam.binom_series(2, v), 0),
-    "rising_product": (lambda v: fam.rising_product(3, v), 0),
     "check-wrapper": (lambda v: check_L2(n_max=v), 0),
     "run_check-bounds": (lambda v: run_check("T8", {"n_max": v}), 0),
     "table-n": (_cli("table", "--family", "bell", "--n", "0", option="n"), 0),

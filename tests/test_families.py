@@ -42,7 +42,6 @@ from degenpoly.families import (
     geometric_deg,
     geometric_deg_gf,
     geometric_r,
-    rising_product,
     stirling,
     triangular_table,
 )
@@ -272,17 +271,11 @@ def test_bernoulli_deg_matches_the_pairwise_sum():
         assert (got.num, got.den) == (want.num, want.den), n
 
 
-def test_rising_product():
-    assert rising_product(3, 0) == 1
-    assert rising_product(3, 2) == 12
-    assert all(rising_product(1, k) == math.factorial(k) for k in range(8))
-
-
 def test_geometric_r_weights_are_the_rising_products():
     # geometric_r builds its weights as one running product
     for r in (1, 2, 5, 10**30 + 7):
         for n in range(9):
-            want = XPoly(stirling("S2", n, k) * rising_product(r, k) for k in range(n + 1))
+            want = XPoly(stirling("S2", n, k) * math.prod(range(r, r + k)) for k in range(n + 1))
             assert geometric_r(n, r) == want, (r, n)
 
 

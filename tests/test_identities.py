@@ -7,8 +7,7 @@ import re
 import subprocess
 import sys
 import time
-from itertools import product, zip_longest
-from operator import add, mul
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,9 +21,7 @@ from degenpoly.identities import (
     _check,
     _falling_rows,
     _first_miss,
-    _numerators,
     _read,
-    _recurrence,
     _inner_power_rows,
     _poly_battery,
     _s1_lambda_weight,
@@ -422,7 +419,7 @@ def test_DEG_reads_the_bell_numbers_up_to_n_max(monkeypatch):
 
 def _first_bad_product(a, b, c=None):
     # the symbolic product, each entry one λ-dot, kept as the reference the
-    # point check must reproduce: the first (n, m) whose entry is not
+    # product route must reproduce: the first (n, m) whose entry is not
     # c[n][m] (δ(n, m) without c), with that entry, or None
     for n in range(len(a)):
         for m in range(n + 1):
@@ -473,147 +470,33 @@ def _first_E04_hit(n_max):
 PAIRS = (("S1", "S2"), ("S2", "S1"), ("S1deg", "S2deg"))
 
 
-def test_the_point_check_agrees_with_the_symbolic_product_on_true_tables():
-    s1, s2, s1d, s2d = (fam.triangular_table(k, 20) for k in ("S1", "S2", "S1deg", "S2deg"))
-    for (a, b), kinds in zip(((s1, s2), (s2, s1), (s1d, s2d)), PAIRS):
-        assert _first_bad_product(a, b) is None
-        assert _first_non_identity(a, b, _steps(*kinds), None) is None
-
-
-def _first_non_identity_by_horner(a, b, before):
-    # the point check as it was before the rows came from their recurrence,
-    # kept as the reference the recurrence route must reproduce: every
-    # entry a row or column needs is evaluated at each λ = t by Horner's rule
-    size, stop = len(a), before or (len(a), 0)
-    if stop > (0, 0) and a[0][0] * b[0][0] != LP_ONE:
-        return 0, 0
-    (a, da), (b, db) = _numerators(a), _numerators(b)
-
-    def values(entries, t):
-        out = []
-        for c in entries:
-            v = 0
-            for x in reversed(c):
-                v = v * t + x
-            out.append(v)
-        return out
-
-    top = max(len(c) for row in (*a, *b) for c in row)
-    none = -2 * top
-    adeg = [[len(c) - 1 if c else none for c in row] for row in a]
-    bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
-    need = [[max(a + b for a, b in zip(adeg[n][m:], bdeg[m])) for m in range(n + 1)]
-            for n in range(size)]
-    hit = None
-    for t in range(max(max(r) for r in need) + 1):
-        cols = {}
-        for n in range(size):
-            if n > stop[0]:
-                break
-            row = None
-            for m in range(n + 1 if n < stop[0] else stop[1]):
-                if t and need[n][m] < t:
-                    continue
-                if row is None:
-                    row = values(a[n], t)
-                if m not in cols:
-                    cols[m] = values([b[k][m] for k in range(m, size)], t)
-                if sum(x * y for x, y in zip(row[m:], cols[m])) != (da * db if n == m else 0):
-                    hit = stop = n, m
-                    break
-    return hit
-
-
-def _horner(c, t: int) -> int:
-    # the integer numerator list c at λ = t
-    v = 0
-    for x in reversed(c):
-        v = v * t + x
-    return v
-
-
-def _point_rows(rec, step, den, t: int):
-    # the rows of a table at λ = t from its _recurrence against step: row n
-    # is the recurrence at t applied to row n-1, plus the residual's values,
-    # so it equals the stored row's values whatever the step data are
-    an, ak, bn, bk = step
-    row = [den]
-    for n, res in enumerate(rec):
-        if n:
-            w = [an * (n - 1) + ak * k + (bn * (n - 1) + bk * k) * t for k in range(n + 1)]
-            row = list(map(add, [0, *row], map(mul, w, [*row, 0])))
-        for k, c in res:
-            row[k] += _horner(c, t)
-        yield row
-
-
-def _first_non_identity_by_points(a, b, steps, before):
-    # the point check as it was before the product's own recurrence, kept
-    # as the reference that route must reproduce: the sum has λ-degree at
-    # most D(n, m) = max_k deg a[n][k] + deg b[k][m], so its values at
-    # λ = 0..D(n, m) decide it, each row read through _recurrence.  It
-    # starts with the (0, 0) test: when every D(n, m) is negative it
-    # evaluates no point, and would miss a product that is 0 at (0, 0)
-    size, stop = len(a), before or (len(a), 0)
-    if stop > (0, 0) and a[0][0] * b[0][0] != LP_ONE:
-        return 0, 0
-    (a, da), (b, db) = _numerators(a), _numerators(b)
-    top = max(len(c) for row in (*a, *b) for c in row)
-    none = -2 * top  # the degree of a zero entry: no sum with it is >= 0
-    adeg = [[len(c) - 1 if c else none for c in row] for row in a]
-    bdeg = [[len(b[k][m]) - 1 if b[k][m] else none for k in range(m, size)] for m in range(size)]
-    need = [[max(map(add, adeg[n][m:], bdeg[m])) for m in range(n + 1)] for n in range(size)]
-    hit, recs = None, None
-    for t in range(max(max(r) for r in need) + 1):
-        if t:
-            recs = recs or (_recurrence(a, da, steps[0]), _recurrence(b, db, steps[1]))
-            rows_a, rows_b = _point_rows(recs[0], steps[0], da, t), _point_rows(recs[1], steps[1], db, t)
-        else:
-            rows_a, rows_b = (([c[0] if c else 0 for c in row] for row in x) for x in (a, b))
-        # column m of b at t, from row m down
-        cols = [c[m:] for m, c in enumerate(zip_longest(*rows_b, fillvalue=0))]
-        for n, row in enumerate(rows_a):
-            if n > stop[0]:
-                break
-            for m in range(n + 1 if n < stop[0] else stop[1]):
-                if t and need[n][m] < t:
-                    continue
-                if sum(map(mul, row[m:], cols[m])) != (da * db if n == m else 0):
-                    hit = stop = n, m
-                    break
-    return hit
-
-
 def _off_by_one(step):
     # a wrong recurrence: every step weight a + bλ becomes a + k + bλ
     an, ak, bn, bk = step
     return an, ak + 1, bn, bk
 
 
-def test_the_recurrence_route_agrees_with_horner_on_true_tables():
+def test_the_product_route_agrees_with_the_symbolic_product_on_true_tables():
     tables = {k: fam.triangular_table(k, 20) for k in fam.STIRLING_KINDS}
     for ka, kb in PAIRS:
         a, b = tables[ka], tables[kb]
+        assert _first_bad_product(a, b) is None
         steps = _steps(ka, kb)
         wrong = tuple(map(_off_by_one, steps))
         for before in (None, (20, 20), (13, 5), (7, 0)):
-            want = _first_non_identity_by_horner(a, b, before)
-            assert want is None
             assert _first_non_identity(a, b, steps, before) is None
-            # exactness does not depend on the recurrence
+            # a wrong recurrence takes both factors off it at row 2, and
+            # from there the route takes the plain product
             assert _first_non_identity(a, b, wrong, before) is None
 
 
 def test_a_product_whose_entries_are_all_zero_is_not_the_identity():
-    # every degree bound is negative here, so a route that evaluates the
-    # product at λ = 0..bound evaluates nothing and misses (0, 0)
+    # row 0 is off every recurrence here, so the route takes the plain
+    # product from (0, 0) and sees it miss
     steps, zero, s1 = _steps("S2", "S1"), ((LP_ZERO,),), fam.triangular_table("S1", 0)
+    assert _first_bad_product(zero, s1) == ((0, 0), LP_ZERO)
     assert _first_non_identity(zero, s1, steps, None) == (0, 0)
     assert _first_non_identity(zero, s1, steps, (0, 0)) is None
-    assert _first_non_identity_by_horner(zero, s1, None) == (0, 0)
-    assert _first_non_identity_by_horner(zero, s1, (0, 0)) is None
-    assert _first_non_identity_by_points(zero, s1, steps, None) == (0, 0)
-    assert _first_non_identity_by_points(zero, s1, steps, (0, 0)) is None
 
 
 # each corruption of one table entry in the seeded differential test
@@ -665,36 +548,65 @@ def test_the_product_recurrence_agrees_with_the_symbolic_product(kinds):
             continue
         a, b = tables
         assert _first_non_identity(a, b, steps, before) == want, (trial, size, before)
-        assert _first_non_identity_by_points(a, b, steps, before) == want, (trial, size, before)
 
 
-def test_the_residual_rows_of_true_tables_are_empty():
-    for kind in fam.STIRLING_KINDS:
-        num, den = _numerators(fam.triangular_table(kind, 40))
-        rec = _recurrence(num, den, fam._STEP[kind])
-        assert len(rec) == 41
-        assert rec == [[]] * 41, kind
+def _table_from_step(step, size):
+    # the rows 0..size-1 that the step data's row recurrence gives from
+    # row 0 = (1), by LambdaPoly arithmetic
+    an, ak, bn, bk = step
+    rows = [(LP_ONE,)]
+    for n in range(1, size):
+        prev = (LP_ZERO, *rows[-1], LP_ZERO)
+        rows.append(tuple(prev[k] + LambdaPoly((an * (n - 1) + ak * k, bn * (n - 1) + bk * k)) * prev[k + 1]
+                          for k in range(n + 1)))
+    return rows
 
 
-def test_the_residual_of_a_corrupted_entry_covers_it_and_the_row_after():
+def test_the_product_route_agrees_with_the_symbolic_product_on_tables_of_random_steps():
+    # seeded trials in which all three tables follow their recurrences, so
+    # the route decides every row by the gap when the slope is 0 and takes
+    # the plain product when it is not: steps in [-2, 2]^4, B's chosen in
+    # half of the trials so that the slope vanishes and C's in half so
+    # that the gap does
+    rng = random.Random("random-steps")
+    for trial in range(400):
+        size = rng.randint(1, 12)
+        sa, sb, sc = (tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(3))
+        if rng.random() < 0.5:
+            sb = (-sa[1], sb[1], -sa[3], sb[3])
+        if rng.random() < 0.5:
+            sc = (sa[0], sa[1] + sb[0] + sb[1], sa[2], sa[3] + sb[2] + sb[3])
+        tables = [_table_from_step(s, size) for s in (sa, sb, sc)]
+        stop = rng.randint(0, size)
+        before = rng.choice((None, (stop, rng.randint(0, stop))))
+        bad = _first_bad_product(*tables)
+        want = bad[0] if bad and (before is None or bad[0] < before) else None
+        got = _first_miss(*map(_read, tables, (sa, sb, sc)), before)
+        assert got == want, (trial, size, sa, sb, sc, before)
+
+
+def test_every_row_of_a_true_table_is_given_by_its_recurrence():
+    tables = {k: (fam.triangular_table(k, 40), fam._STEP[k]) for k in fam.STIRLING_KINDS}
+    tables["T"] = _basis_table(40), BASIS_STEP
+    tables["I"] = tuple((LP_ZERO,) * n + (LP_ONE,) for n in range(41)), (0, 0, 0, 0)
+    for kind, (table, step) in tables.items():
+        assert _read(table, step)[2] == 41, kind
+
+
+def test_a_corrupted_entry_takes_its_table_off_the_recurrence_at_its_row():
     rows = [list(r) for r in fam.triangular_table("S2deg", 12)]
     rows[7][3] = rows[7][3] + LAM
-    num, den = _numerators(rows)
-    res = _recurrence(num, den, fam._STEP["S2deg"])
-    assert [n for n, r in enumerate(res) if r] == [7, 8]
-    assert res[7] == [(3, (0, 1))]
-    assert [k for k, _ in res[8]] == [3, 4]
+    assert _read(rows, fam._STEP["S2deg"])[2] == 7
 
 
-def test_an_entry_above_its_row_degree_keeps_the_next_residual_exact():
+def test_two_faults_that_cancel_in_the_product_leave_it_true():
     # λ^30 added to S2deg(5, 1) and to T(5, 1) leaves S2deg·S1 = T true
-    # everywhere; row 6 must read the raised entry in full, not cut to the
-    # length of its neighbour S2deg(5, 2), or the route sees a false miss
+    # everywhere; both tables leave their recurrence at row 5, and from
+    # there the route takes the plain product and finds no miss
     a, c = [list(r) for r in fam.triangular_table("S2deg", 10)], _basis_table(10)
     a[5][1], c[5][1] = a[5][1] + LAM**30, c[5][1] + LAM**30
     b = fam.triangular_table("S1", 10)
-    num, den = _numerators(a)
-    assert dict(_recurrence(num, den, fam._STEP["S2deg"])[6])[2] == (0,) * 30 + (-1,)
+    assert _read(a, fam._STEP["S2deg"])[2] == 5 and _read(c, BASIS_STEP)[2] == 5
     assert _first_bad_product(a, b, c) is None
     assert _first_miss(_read(a, fam._STEP["S2deg"]), _read(b, fam._STEP["S1"]), _read(c, BASIS_STEP),
                        None) is None
@@ -721,7 +633,7 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("kind, n, k", [("S1deg", 14, 5), ("S2deg", 15, 4), ("S2deg", 16, 16)])
-def test_E04_point_check_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
+def test_E04_product_route_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
     # only the deformed pair reads S1deg; S2deg also enters the basis
     # product S2deg·S1 = T, which meets the corrupted row first at m = 1
     real = fam.triangular_table
@@ -737,10 +649,9 @@ def test_E04_point_check_is_an_exact_proof(monkeypatch, corruption, kind, n, k):
     monkeypatch.setattr(fam, "triangular_table", corrupted)
     s1d, s2d = (fam.triangular_table(t, N_MAX_CORRUPT) for t in ("S1deg", "S2deg"))
     (bad_n, bad_m), val = _first_bad_product(s1d, s2d)
-    # the recurrence route, with the tables' own steps and with wrong ones,
-    # finds what the Horner route finds
+    # the product route, with the tables' own steps and with wrong ones,
+    # finds what the symbolic product finds
     steps = _steps("S1deg", "S2deg")
-    assert _first_non_identity_by_horner(s1d, s2d, None) == (bad_n, bad_m)
     assert _first_non_identity(s1d, s2d, steps, None) == (bad_n, bad_m)
     assert _first_non_identity(s1d, s2d, tuple(map(_off_by_one, steps)), None) == (bad_n, bad_m)
     indices, val, want = _first_E04_hit(N_MAX_CORRUPT)
@@ -809,7 +720,7 @@ def test_E04_catches_every_one_coefficient_step_mutant(monkeypatch, reads_mutant
         assert (v.counterexample["indices"]["n"], v.counterexample["indices"]["m"]) == (2, 1), (kind, i, delta)
 
 
-def test_the_point_check_reports_the_first_of_two_faults():
+def test_the_product_route_reports_the_first_of_two_faults():
     # the later fault sits in a later row at a smaller column, so a scan
     # that ran on past the first failing entry would report it instead
     s1d, s2d = (list(map(list, fam.triangular_table(t, 16))) for t in ("S1deg", "S2deg"))
