@@ -585,6 +585,43 @@ def test_the_product_route_agrees_with_the_symbolic_product_on_tables_of_random_
         assert got == want, (trial, size, sa, sb, sc, before)
 
 
+def _region_case(name):
+    # one product per region of the route, as ((A, B, C), their steps, the
+    # first miss)
+    s2deg, s1, t = ([list(r) for r in tab] for tab in (fam.triangular_table("S2deg", 10),
+                                                        fam.triangular_table("S1", 10), _basis_table(10)))
+    steps = (fam._STEP["S2deg"], fam._STEP["S1"], BASIS_STEP)
+    if name == "gap":
+        # true tables, slope 0, but T is not S1·S2's target: the gap is λ
+        # at (1, 1), so the first miss is T(2, 1) = -λ
+        return ((fam.triangular_table("S1", 10), fam.triangular_table("S2", 10), t),
+                (fam._STEP["S1"], fam._STEP["S2"], BASIS_STEP), (2, 1))
+    if name == "target-off":
+        # only the target leaves its recurrence, at row 5
+        t[5][1] = t[5][1] + LAM
+        return (s2deg, s1, t), steps, (5, 1)
+    if name == "factor-off":
+        # the miss lies on the first row off, not after it: λ·S1(3, 1) = 2λ
+        s2deg[7][3] = s2deg[7][3] + LAM
+        return (s2deg, s1, t), steps, (7, 1)
+    if name == "row-0":
+        # every row after row 0 follows from (2) by the recurrence
+        rows = [[e * 2 for e in r] for r in s2deg]
+        return (rows, s1, t), steps, (0, 0)
+    # slope -1: weights -k, S2's k and the identity's 0 leave no gap, yet
+    # the product is not the identity from row 3 on
+    sa, sb, sc = (0, -1, 0, 0), fam._STEP["S2"], (0, 0, 0, 0)
+    return tuple(_table_from_step(s, 11) for s in (sa, sb, sc)), (sa, sb, sc), (3, 1)
+
+
+@pytest.mark.parametrize("region", ["gap", "target-off", "factor-off", "row-0", "slope"])
+def test_the_product_route_finds_the_first_miss_in_each_region(region):
+    tables, steps, at = _region_case(region)
+    assert _first_bad_product(*tables)[0] == at
+    assert _first_miss(*map(_read, tables, steps), None) == at
+    assert _first_miss(*map(_read, tables, steps), at) is None
+
+
 def test_every_row_of_a_true_table_is_given_by_its_recurrence():
     tables = {k: (fam.triangular_table(k, 40), fam._STEP[k]) for k in fam.STIRLING_KINDS}
     tables["T"] = _basis_table(40), BASIS_STEP
