@@ -63,7 +63,6 @@ __all__ = [
     "eulerian_poly",
     "exp_series",
     "e_lambda_series",
-    "geom_series",
     "binom_series",
     "bell_deg_gf",
     "bell_partial_deg_gf",
@@ -296,12 +295,6 @@ def e_lambda_series(order: int, var: str = "t") -> Series:
         [_unit_falling(n) / factorial(n) for n in range(order + 1)],
         LambdaPoly,
     )
-
-
-def geom_series(order: int) -> Series:
-    """1/(1-x): all coefficients 1."""
-    _check_order(order)
-    return Series("x", order, [1] * (order + 1), LambdaPoly)
 
 
 def binom_series(r: int, order: int) -> Series:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import json
 from collections import namedtuple
-from itertools import count, zip_longest
-from math import comb, factorial, lcm
+from itertools import count, islice, zip_longest
+from math import comb, factorial
 
 from .rational import RAT_ONE, RAT_ZERO, Rational, as_rational
 from .poly import (
@@ -204,7 +204,7 @@ def check_T3(d_max=4, r_max=3, order=16, perturbed=False):
     equals its S2-weighted derivative expansion"""
     bases = [
         ("e_lambda", fam.e_lambda_series(order, "x")),
-        ("geometric", fam.geom_series(order)),
+        ("geometric", fam.binom_series(1, order)),
     ]
     bases += [(f"binomial_{r}", fam.binom_series(r, order)) for r in range(2, r_max + 1)]
     shift = 1 if perturbed else 0
@@ -323,37 +323,30 @@ def check_T8(n_max=30, perturbed=False):
         yield {"n": n}, lhs, (b - power * b_half) * Rational(2, n + 1)
 
 
-def _numerators(table):
-    # the entries of a λ-table as integer numerator lists over one common
-    # denominator, and that denominator
-    den = lcm(*(e.den for row in table for e in row))
-    return [[e.num if e.den == den else [c * (den // e.den) for c in e.num] for e in row]
-            for row in table], den
-
-
 def _read(table, step):
     # a table with its step data and its first row off the recurrence
     # entry(n, k) = entry(n-1, k-1) + (a + bλ) entry(n-1, k), where
     # a = an (n-1) + ak k and b = bn (n-1) + bk k for the step data
     # (an, ak, bn, bk): the first row that the recurrence does not give from
     # the row before, row 0 standing against (1), or len(table) when it
-    # gives every row.  The rows are compared on integer numerators over
-    # one common denominator.  This restates families._build_row's
-    # evaluation of the data on purpose, not by calling a shared helper:
-    # with an evaluator that dropped bk in both places, S1deg's rows are
-    # S1's and every row is given, and _first_miss passes S1deg·S2deg = I
+    # gives every row.  Row 0 is (1) and the data are ints, so every row
+    # the recurrence gives is integral: the rows are compared on their
+    # integer numerators, and an entry with a denominator is off.  This
+    # restates families._build_row's evaluation of the data on purpose,
+    # not by calling a shared helper: with an evaluator that dropped bk in
+    # both places, S1deg's rows are S1's and every row is given, and
+    # _first_miss passes S1deg·S2deg = I
     an, ak, bn, bk = step
-    num, den = _numerators(table)
-    if tuple(num[0][0]) != (den,):
+    if table[0][0] != LP_ONE:
         return table, step, 0
-    for n in range(1, len(num)):
-        prev = num[n - 1]
-        for k, e, s, c in zip(count(), num[n], [(), *prev], [*prev, ()]):
+    for n in range(1, len(table)):
+        prev = [e.num for e in table[n - 1]]
+        for k, e, s, c in zip(count(), table[n], [(), *prev], [*prev, ()]):
             a, b = an * (n - 1) + ak * k, bn * (n - 1) + bk * k
             terms = zip_longest(s, c, (0, *c), fillvalue=0)
-            if _strip([p + a * x + b * y for p, x, y in terms]) != tuple(e):
+            if e.den != 1 or _strip([p + a * x + b * y for p, x, y in terms]) != e.num:
                 return table, step, n
-    return table, step, len(num)
+    return table, step, len(table)
 
 
 def _first_miss(a, b, c, before):
@@ -540,15 +533,6 @@ def check_degeneration(n_max=20, perturbed=False):
         row = nxt
 
 
-def _unit_fallings():
-    # (1)_{m+1,λ} for m = 0, 1, ...: one running product, each the one
-    # before times 1 - mλ, sharing no code with families' _unit_falling memo
-    u = LP_ONE
-    for m in count():
-        u = u * LambdaPoly._new([1, -m])
-        yield u
-
-
 _GF_BUILDERS = {
     "bell_deg": (fam.bell_deg_gf, fam.bell_deg),
     "phi_deg": (fam.bell_partial_deg_gf, fam.bell_partial_deg),
@@ -566,8 +550,11 @@ def _gf_consistency(family, order=16, perturbed=False):
         yield {"n": n}, w * s.coeff(n), construct(n)
     if family == "bernoulli_deg":
         # the series must also solve its defining equation: product with
-        # (deformed exponential - 1)/t is exactly 1
-        shifted = [u / factorial(m + 1) for m, u in zip(range(order + 1), _unit_fallings())]
+        # (deformed exponential - 1)/t is exactly 1; the falling products
+        # (1)_{m,λ}, m = 1..order+1, are column 1 of _falling_rows, which
+        # shares no code with families' _unit_falling memo
+        units = islice(_falling_rows(1), 1, order + 2)
+        shifted = [row[1] / factorial(m) for m, row in enumerate(units, 1)]
         prod = s * Series("t", order, shifted, LambdaPoly)
         for n in range(order + 1):
             yield {"n": n, "leg": "defining-equation"}, prod.coeff(n), LP_ONE if n == 0 else LP_ZERO
@@ -620,7 +607,8 @@ def run_all(prefix: str | None = None, overrides: dict | None = None, negative_c
     or the id of one selected check (inject only that one, leaving the
     rest honest); any other value raises TypeError.
     Every override is checked against every selected check's bounds
-    before any check runs.
+    before any check runs, and one that is not None but is a bound of no
+    selected check raises ValueError.
     """
     if not isinstance(negative_control, (bool, str)):
         raise TypeError(f"negative_control must be a bool or a check id, got {negative_control!r}")
@@ -633,6 +621,9 @@ def run_all(prefix: str | None = None, overrides: dict | None = None, negative_c
         raise ValueError(f"unknown check {negative_control!r}; known: {known}")
     if isinstance(negative_control, str) and _BY_ID[negative_control] not in entries:
         raise ValueError(f"negative control {negative_control!r} is not a selected check")
+    for name, value in (overrides or {}).items():
+        if value is not None and not any(isinstance(c.params.get(name), int) for c in entries):
+            raise ValueError(f"{name} does not apply to {', '.join(c.id for c in entries)}")
     for c in entries:
         _bounds(c, overrides)
     return [

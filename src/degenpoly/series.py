@@ -33,18 +33,10 @@ from .poly import LambdaPoly, NonInvertibleError, XPoly, _index, _unit_value, la
 
 __all__ = [
     "Series",
-    "LAMBDA_RING",
-    "XPOLY_RING",
     "NonInvertibleError",
     "diag_weight",
     "first_mismatch",
 ]
-
-
-# second names of the two rings, read by the tests and the benchmark's ops
-# probe (perfbench/child.py); the package itself writes LambdaPoly and XPoly
-LAMBDA_RING = LambdaPoly
-XPOLY_RING = XPoly
 
 
 def _divide(num: Sequence, den: Sequence, order: int, ring: type) -> tuple:

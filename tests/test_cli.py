@@ -240,6 +240,14 @@ def test_json_shapes_of_a_rational_function():
     assert type(value_from_json([])) is LambdaPoly and value_from_json([]) == XPoly()
 
 
+def test_json_shapes_refuse_a_float():
+    # a float is no exact value in either direction
+    with pytest.raises(TypeError, match="cannot serialise 1.5"):
+        value_to_json(1.5)
+    with pytest.raises(TypeError, match="cannot parse 1.5"):
+        value_from_json(1.5)
+
+
 def test_eval_spots(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--family", "bell_deg", "--n", "3", "--lambda", "1/2", "--x", "2"
@@ -281,6 +289,8 @@ def test_eval_errors(capsys):
     (("eval", "--family", "stirling2", "--n", "4", "--k", "2", "--r", "2"), "--r"),
     (("table", "--family", "bell", "--n", "2", "--n-max", "5"), "--n-max"),
     (("verify", "T8", "--all"), "--all"),
+    (("verify", "T8", "--m-max", "3"), "m_max"),
+    (("verify", "GF-b", "--n-max", "3"), "n_max"),
 ])
 def test_options_that_cannot_apply_are_refused(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
@@ -482,6 +492,15 @@ def test_verify_negative_control_targeted(capsys):
     assert sum(1 for ln in lines if ln.startswith("FAIL")) == 1
     assert any(ln.startswith("FAIL E57") for ln in lines)
     assert lines[-1] == "17 passed, 1 failed"
+
+
+def test_verify_names_every_selected_check_a_bound_does_not_apply_to(capsys):
+    # neither GF-bell nor GF-bern takes an n_max; the whole suite has
+    # checks that take m_max, and the others ignore it
+    assert run_cli(capsys, "verify", "GF-b", "--n-max", "3") == (
+        2, "", "error: n_max does not apply to GF-bell, GF-bern\n")
+    code, out, _ = run_cli(capsys, "verify", "--all", "--m-max", "3")
+    assert code == 0 and out.endswith("18 passed, 0 failed\n")
 
 
 def test_verify_negative_control_outside_the_selection(capsys):

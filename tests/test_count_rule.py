@@ -12,7 +12,7 @@ from degenpoly import families as fam
 from degenpoly.cli import _build_parser
 from degenpoly.identities import check_L2, run_check
 from degenpoly.poly import LAM, X, LambdaPoly, XPoly, lambda_falling
-from degenpoly.series import LAMBDA_RING, Series, diag_weight
+from degenpoly.series import Series, diag_weight
 
 
 def _cli(*argv, option):
@@ -32,9 +32,9 @@ ENTRIES = {
     "LambdaPoly.monomial": (lambda v: LambdaPoly.monomial(1, v), 0),
     "XPoly.monomial": (lambda v: XPoly.monomial(1, v), 0),
     "lambda_falling": (lambda v: lambda_falling(1, v), 0),
-    "Series": (lambda v: Series("t", v, [], LAMBDA_RING), 0),
-    "Series.truncate": (lambda v: Series("t", 3, [], LAMBDA_RING).truncate(v), 0),
-    "diag_weight": (lambda v: diag_weight(Series("x", 2, [], LAMBDA_RING), v), 0),
+    "Series": (lambda v: Series("t", v, [], LambdaPoly), 0),
+    "Series.truncate": (lambda v: Series("t", 3, [], LambdaPoly).truncate(v), 0),
+    "diag_weight": (lambda v: diag_weight(Series("x", 2, [], LambdaPoly), v), 0),
     "sequence-reader": (fam.bell_deg, 0),
     "stirling-n": (lambda v: fam.stirling("S2", v, 0), 0),
     "stirling-k": (lambda v: fam.stirling("S2", 3, v), 0),

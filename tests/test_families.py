@@ -37,7 +37,6 @@ from degenpoly.families import (
     exp_series,
     falling_factorial,
     falling_factorial_lambda,
-    geom_series,
     geometric,
     geometric_deg,
     geometric_deg_gf,
@@ -393,9 +392,8 @@ def test_series_builders():
     e = e_lambda_series(4)
     assert e.coeff(2) == lp(Rational(1, 2), Rational(-1, 2))
     assert e.coeff(3) == lp(1, -3, 2) / 6
-    assert geom_series(5).coeffs == (1,) * 6
+    assert binom_series(1, 5).coeffs == (1,) * 6
     assert binom_series(2, 4).coeffs == (1, 2, 3, 4, 5)
-    assert binom_series(1, 6) == geom_series(6)
     for bad in (0, True, False):
         with pytest.raises(ValueError):
             binom_series(bad, 4)
@@ -414,13 +412,12 @@ def test_generating_series_match_families():
 @pytest.mark.parametrize("build", [
     exp_series,
     e_lambda_series,
-    geom_series,
     lambda order: binom_series(2, order),
     bell_deg_gf,
     bell_partial_deg_gf,
     geometric_deg_gf,
     bernoulli_deg_gf,
-], ids=["exp_series", "e_lambda_series", "geom_series", "binom_series", "bell_deg_gf",
+], ids=["exp_series", "e_lambda_series", "binom_series", "bell_deg_gf",
         "bell_partial_deg_gf", "geometric_deg_gf", "bernoulli_deg_gf"])
 def test_every_series_builder_refuses_an_order_that_is_not_a_nonnegative_int(build, order):
     # a float order once reached range() or a list repeat first and raised

@@ -27,7 +27,6 @@ from degenpoly.identities import (
     _s1_lambda_weight,
     _s1_mobius_numerator,
     _t4_right_sides,
-    _unit_fallings,
     check_E04,
     check_L2,
     run_all,
@@ -41,7 +40,7 @@ from degenpoly.poly import LAM, LP_ONE, LP_ZERO, X, XP_ONE, LambdaPoly, XPoly, l
 from degenpoly.ratfunc import _binomial_power, substitute_mobius
 from degenpoly.rational import RAT_ZERO, Rational
 from degenpoly.render import value_from_json
-from degenpoly.series import LAMBDA_RING, Series
+from degenpoly.series import Series
 
 ALL_IDS = [c.id for c in REGISTRY]
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
@@ -123,6 +122,20 @@ def test_run_all_targeted_control():
 def test_run_all_refuses_a_control_outside_the_selection():
     with pytest.raises(ValueError, match="'E04'"):
         run_all("T8", negative_control="E04")
+
+
+def test_run_all_refuses_an_override_that_no_selected_check_takes(monkeypatch):
+    # run_check ignores a key its check does not take; run_all refuses one
+    # that none of its checks takes, before any check runs
+    monkeypatch.setattr(identities, "run_check", lambda *a, **k: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match=r"^m_max does not apply to T8$"):
+        run_all("T8", overrides={"m_max": 3})
+    with pytest.raises(ValueError, match=r"^n_max does not apply to GF-bell, GF-bern$"):
+        run_all("GF-b", overrides={"n_max": 3, "order": 4})
+    with pytest.raises(ValueError, match=r"^bogus does not apply to T8$"):
+        run_all("T8", overrides={"bogus": 0})
+    monkeypatch.undo()
+    assert [v.checked_range for v in run_all("T8", overrides={"n_max": 3, "m_max": None})] == [{"n_max": 3}]
 
 
 @pytest.mark.parametrize("control", [1, None])
@@ -265,7 +278,7 @@ def _inner_power_rows_reference(order, sign):
     # multiplication before it used their closed form, kept as the
     # reference the closed-form rows must reproduce
     inner = Series("x", order, [LP_ZERO] + [LambdaPoly.monomial(sign**(k - 1), k - 1)
-                                            for k in range(1, order + 1)], LAMBDA_RING)
+                                            for k in range(1, order + 1)], LambdaPoly)
     powers = [inner]
     for _ in range(order - 1):
         powers.append(powers[-1] * inner)
@@ -377,6 +390,10 @@ def test_falling_rows_match_lambda_falling():
         for k, w in enumerate(row):
             want = lambda_falling(k, m)
             assert (w.num, w.den) == (want.num, want.den), (m, k)
+    # GF-bern's (1)_{m,λ}, column 1, up to m = 65: its reach at order 64
+    for m, row in zip(range(66), _falling_rows(1)):
+        want = lambda_falling(1, m)
+        assert (row[1].num, row[1].den) == (want.num, want.den), m
 
 
 def _series_fields(s: Series):
@@ -391,18 +408,11 @@ def test_T4_right_sides_match_e_times_each_expanded_quotient(order):
     e = fam.e_lambda_series(order, "x")
     mix_fc = _poly_battery(6)[-1][0]
     want = [e * fam.bell_second_deg(n).expand(order) for n in range(7)]
-    mix = Series("x", order, [], LAMBDA_RING)
+    mix = Series("x", order, [], LambdaPoly)
     for row, c in zip(want, mix_fc):
         mix = mix + row.scaled(c)
     got = _t4_right_sides(e, mix_fc)
     assert [_series_fields(s) for s in got] == [_series_fields(s) for s in want + [mix]]
-
-
-def test_unit_fallings_match_lambda_falling():
-    # GF-bern's running product against the product built from scratch
-    for m, u in zip(range(65), _unit_fallings()):
-        want = lambda_falling(1, m + 1)
-        assert (u.num, u.den) == (want.num, want.den), m
 
 
 def test_DEG_reads_the_bell_numbers_up_to_n_max(monkeypatch):
@@ -423,7 +433,7 @@ def _first_bad_product(a, b, c=None):
     # c[n][m] (δ(n, m) without c), with that entry, or None
     for n in range(len(a)):
         for m in range(n + 1):
-            val = LAMBDA_RING._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
+            val = LambdaPoly._dot((a[n][k], b[k][m]) for k in range(m, n + 1))
             if val != (c[n][m] if c else 1 if n == m else 0):
                 return (n, m), val
     return None
@@ -634,6 +644,16 @@ def test_a_corrupted_entry_takes_its_table_off_the_recurrence_at_its_row():
     rows = [list(r) for r in fam.triangular_table("S2deg", 12)]
     rows[7][3] = rows[7][3] + LAM
     assert _read(rows, fam._STEP["S2deg"])[2] == 7
+    # an entry with a denominator is off at its row, also when its
+    # numerators are the ones the recurrence gives; from there the route
+    # agrees with the symbolic product
+    s1deg = fam.triangular_table("S1deg", 12)
+    for n, k, fault in ((6, 2, lambda e: e + LAM / 2), (6, 6, lambda e: e / 5)):
+        rows = [list(r) for r in fam.triangular_table("S2deg", 12)]
+        rows[n][k] = fault(rows[n][k])
+        assert _read(rows, fam._STEP["S2deg"])[2] == n
+        at = _first_non_identity(s1deg, rows, _steps("S1deg", "S2deg"), None)
+        assert at is not None and at == _first_bad_product(s1deg, rows)[0]
 
 
 def test_two_faults_that_cancel_in_the_product_leave_it_true():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degenpoly.rational import Rational
 from degenpoly.poly import LAM, LP_ZERO, X, XP_ONE, XP_ZERO, LambdaPoly, XPoly
 from degenpoly.ratfunc import PoleError, RationalFn, gamma_moment, substitute_mobius
-from degenpoly.series import LAMBDA_RING, NonInvertibleError, Series
+from degenpoly.series import NonInvertibleError, Series
 from degenpoly.families import (
     bell_deg,
     bell_partial_deg,
@@ -274,8 +274,8 @@ def expand_by_reciprocal(r: RationalFn, order: int) -> Series:
     # num times the reciprocal series of den, the expansion RationalFn.expand
     # ran before it solved den * s = num, kept as the reference it must
     # reproduce
-    num = Series("x", order, r.num.coeffs[: order + 1], LAMBDA_RING)
-    den = Series("x", order, r.den.coeffs[: order + 1], LAMBDA_RING)
+    num = Series("x", order, r.num.coeffs[: order + 1], LambdaPoly)
+    den = Series("x", order, r.den.coeffs[: order + 1], LambdaPoly)
     return num * den.reciprocal()
 
 
