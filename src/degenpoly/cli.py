@@ -2,6 +2,13 @@
 
 Exit codes: 0 on success, 1 when an identity check fails, 2 on usage
 or input errors (including evaluation at a pole).
+
+Parse-once rule: argv whose first word is a command is parsed once, by
+that command's parser, and any argument it leaves goes to the top-level
+parser's ``error``, so the usage text and exit code are those of
+``parse_args``; the top-level parser reads every other argv (no command,
+an unknown one, or an option before the command).  Both are built once
+per process.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import re
 import sys
 
 from .rational import as_rational, is_scalar
-from .poly import LambdaPoly, XPoly, _index
+from .poly import LambdaPoly, XPoly, _index, _ratio_text
 from .ratfunc import PoleError, RationalFn
 from .render import value_to_json
 from .identities import MAX_BOUND, run_all, verdicts_to_json
@@ -92,10 +99,12 @@ def _refuse_past_the_limit(value, lam, x):
     if not limit or v is None:
         return
     num, den, top = abs(v.numerator), v.denominator, limit * 10 // 3
+    if num < 2 * den:  # |v| < 2 makes every bound below negative
+        return
     for p in [value.num, value.den] if isinstance(value, RationalFn) else [XPoly.coerce(value)]:
         d = p.degree if lam is None else p.lambda_degree
         bits = d * (num.bit_length() - 1 - den.bit_length()) - 1
-        if bits <= top:  # among others, every |v| < 2
+        if bits <= top:
             continue
         q = (LambdaPoly(c.coeff(p.coeffs[-1].degree) for c in p.coeffs) if lam is None
              else max(p.coeffs, key=lambda c: c.degree))
@@ -168,7 +177,7 @@ def _member(args, n: int, k: int | None = None):
 
 def _to_text(v, latex=False) -> str:
     if is_scalar(v):
-        return LambdaPoly.const(v).latex() if latex else str(v)
+        return _ratio_text(v.numerator, v.denominator, latex)
     if isinstance(v, tuple):
         num, den = v
         if den == 1:
@@ -296,9 +305,10 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built on first use and shared by every later call in the process;
-    # parse_args keeps no state between calls
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and each command's parser by name, built on first
+    # use and shared by every later call in the process; parsing keeps no
+    # state between calls
     p = argparse.ArgumentParser(
         prog="degenpoly",
         description="Exact tables, evaluations, and identity verification for "
@@ -346,12 +356,19 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--output", default=None, metavar="PATH", help="write JSON verdicts to a file")
     v.set_defaults(fn=_cmd_verify)
 
-    return p
+    return p, {"table": t, "eval": e, "verify": v}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # the parse-once rule (module docstring)
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:

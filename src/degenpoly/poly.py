@@ -7,8 +7,8 @@ common gcd.  Every Stirling-table entry and every falling product has
 integer coefficients, so the denominator is almost always 1 and
 multiplying two λ-polynomials is an integer schoolbook convolution.
 Evaluation is Horner's rule on integers over one common denominator,
-at a rational λ (``LambdaPoly.eval``) and at a rational x
-(``XPoly.eval_x``).
+at a rational λ (``LambdaPoly.eval``, and ``XPoly.eval_lambda`` per
+coefficient) and at a rational x (``XPoly.eval_x``).
 XPoly is a polynomial in x whose coefficients are LambdaPoly values, so
 it is effectively a bivariate polynomial in (x, λ).  Both are dense,
 lowest degree first, with no trailing zeros; the zero polynomial has no
@@ -39,6 +39,10 @@ integer loop: a one-pair ``_lambda_dot`` is 9-15% slower per product on
 the small λ-polynomials of warm CLI requests (2.24 vs 2.58 µs on degree
 <= 4 operands, Python 3.11 on a 2-vCPU Xeon), and a build routed through
 it answered the query-warm benchmark 5-10% slower.
+
+Print-from-numerators rule: text, LaTeX and JSON write each coefficient
+from its integer numerator over the shared denominator through
+``_ratio_text``, reduced by one gcd; no rational is built to print one.
 
 Scalar-factor rule: a factor from a lower rung of the chain scales
 instead of entering the general product.  An int or rational times a
@@ -75,11 +79,17 @@ def _strip(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-def _format_rational(q, latex: bool) -> str:
-    if latex and q.denominator != 1:
-        sign = "-" if q < 0 else ""
-        return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-    return str(q)
+def _ratio_text(p: int, q: int, latex: bool = False) -> str:
+    # the rational p/q (q > 0) as "p/q", or "p" in lowest terms, or a LaTeX
+    # fraction; one gcd and no Fraction (the print-from-numerators rule)
+    if q != 1:
+        g = gcd(p, q)
+        p, q = p // g, q // g
+    if q == 1:
+        return str(p)
+    if latex:
+        return f"{'-' if p < 0 else ''}\\frac{{{abs(p)}}}{{{q}}}"
+    return f"{p}/{q}"
 
 
 def _format_power(sym: str, i: int, latex: bool) -> str:
@@ -101,6 +111,16 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
         else:
             out.append(f" - {body}" if neg else f" + {body}")
     return "".join(out)
+
+
+def _horner(num, p: int, q: int) -> int:
+    # q^degree * sum_i num[i] (p/q)^i for integer numerators num, by Horner's
+    # rule on integers; qk = q^(steps taken)
+    acc, qk = 0, 1
+    for c in reversed(num):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 def _index(value, what: str, least: int = 0, most: int | None = None) -> int:
@@ -267,13 +287,8 @@ class LambdaPoly(_Exact):
         v = _rat(value)
         if not self.num:
             return RAT_ZERO
-        p, q = v.numerator, v.denominator
-        # Horner over integers on q^degree * num(p/q); qk = q^(steps taken)
-        acc, qk = 0, 1
-        for c in reversed(self.num):
-            acc = acc * p + c * qk
-            qk *= q
-        return Rational(acc, self.den * q**self.degree)
+        q = v.denominator
+        return Rational(_horner(self.num, v.numerator, q), self.den * q**self.degree)
 
     def scale_lambda(self, factor) -> "LambdaPoly":
         """Substitute factor * λ for λ."""
@@ -349,19 +364,18 @@ class LambdaPoly(_Exact):
         return hash(("LambdaPoly", self.num, self.den))
 
     def _terms(self, sym: str, latex: bool, xpart: str = "") -> list[tuple[bool, str]]:
-        terms = []
-        for i, c in enumerate(self.coeffs):
+        terms, den = [], self.den
+        for i, c in enumerate(self.num):
             if not c:
                 continue
-            neg = c < 0
-            mag = -c if neg else c
+            mag = abs(c)
             lam = _format_power(sym, i, latex)
             # a space keeps \lambda from swallowing a following letter
             sep = " " if latex and lam and xpart else ""
             body = lam + sep + xpart
-            if mag != 1 or not body:
-                body = _format_rational(mag, latex) + body
-            terms.append((neg, body))
+            if mag != den or not body:
+                body = _ratio_text(mag, den, latex) + body
+            terms.append((c < 0, body))
         return terms
 
     def text(self, latex: bool = False) -> str:
@@ -444,9 +458,18 @@ class XPoly(_Exact):
         return self.eval_x(x).eval(lam)
 
     def eval_lambda(self, value) -> "XPoly":
-        """Substitute a rational for λ, keeping x symbolic."""
+        """Substitute a rational p/q for λ, keeping x symbolic.
+
+        The λ-twin of ``eval_x``: each coefficient becomes the constant
+        of integer Horner numerator over den * q^degree, reduced once,
+        as ``LambdaPoly.eval`` computes it, with no rational built.
+        """
         v = _rat(value)
-        return XPoly._raw(_strip([LambdaPoly.const(c.eval(v)) for c in self.coeffs]))
+        p, q = v.numerator, v.denominator
+        return XPoly._raw(_strip([
+            LambdaPoly._new([_horner(c.num, p, q)], c.den * q**c.degree) if c.num else LP_ZERO
+            for c in self.coeffs
+        ]))
 
     @classmethod
     def _coerce(cls, other):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import degenpoly
 from degenpoly.cli import _build_parser, _refuse_past_the_limit, main
 from degenpoly.poly import LAM, X, XP_ONE, LambdaPoly, XPoly
-from degenpoly.ratfunc import RationalFn
+from degenpoly.ratfunc import PoleError, RationalFn
 from degenpoly.render import value_from_json, value_to_json
 from degenpoly.families import bell_deg, bell_second_deg, bernoulli_deg, stirling
 
@@ -448,6 +448,68 @@ def test_calls_share_one_parser(capsys):
         assert code == 0 and out.strip() == "7"
     info = _build_parser.cache_info()
     assert info.misses == 1 and info.hits == 1
+
+
+def _parse_args_main(argv=None) -> int:
+    # the reference: every argv through the top-level parser's parse_args,
+    # which hands the rest to the command's parser a second time
+    args = _build_parser()[0].parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        print(f"error: {'pole: ' if isinstance(exc, PoleError) else ''}{exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(capsys, run, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "bell", "--n", "2", "--bogus"],
+    ["eval", "--family", "bell", "--n", "2", "--bogus", "extra"],
+    ["verify", "T8", "--n-max", "3", "--family", "bell"],
+    ["table", "--n", "2"],
+    ["eval", "--family", "bell", "--n", "two"],
+    ["table", "--family", "bell", "--n", "2", "--x", "one"],
+    ["table", "-h"],
+    ["eval", "--family", "bell", "--help"],
+    ["verify", "-h"],
+    [],
+    None,
+    ["frob"],
+    ["frob", "--family", "bell"],
+    ["Table", "--family", "bell", "--n", "2"],
+    ["--family", "bell", "table", "--n", "2"],
+    ["-h", "table"],
+    ["-h"],
+    ["eval", "--family", "bell_deg", "--n", "2", "--lambda", "-1/3"],
+    ["eval", "--family", "bell_deg", "--n", "2", "--lambda=-1/3"],
+    ["eval", "--family", "bel_second", "--n", "1", "--lambda=-1/3", "--x", "3"],
+    ["verify", "T8"],
+    ["verify", "T8", "T9"],
+    ["verify", "--", "T8"],
+    ["table", "--family", "bell", "--n", "2", "--", "x"],
+    ["eval", "--fam", "bell", "--n", "2"],
+], ids=repr)
+def test_one_parse_answers_as_parse_args_does(capsys, monkeypatch, argv):
+    # exit code (or SystemExit code), stdout and stderr, byte for byte; argv
+    # None reads sys.argv, here the program name alone
+    monkeypatch.setattr(sys, "argv", ["degenpoly"])
+    want = _outcome(capsys, _parse_args_main, argv)
+    assert _outcome(capsys, main, argv) == want
+
+
+def test_a_trailing_unknown_option_is_refused_with_the_top_level_usage(capsys):
+    code, out, err = _outcome(capsys, main, ["table", "--family", "bell", "--n", "2", "--bogus"])
+    assert code == ("exit", 2) and out == ""
+    assert err.startswith("usage: degenpoly [-h] {table,eval,verify} ...\n")
+    assert err.endswith("degenpoly: error: unrecognized arguments: --bogus\n")
 
 
 def test_no_state_leaks_between_calls(capsys):

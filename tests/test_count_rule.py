@@ -18,7 +18,7 @@ from degenpoly.series import Series, diag_weight
 def _cli(*argv, option):
     # a table/eval row bound, set past argparse's int conversion
     def run(value):
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser()[0].parse_args(list(argv))
         setattr(args, option, value)
         return args.fn(args)
 
