@@ -99,7 +99,7 @@ def _refuse_past_the_limit(value, lam, x):
     if not limit or v is None:
         return
     num, den, top = abs(v.numerator), v.denominator, limit * 10 // 3
-    if num < 2 * den:  # |v| < 2 makes every bound below negative
+    if num < 2 * den:  # |v| < 2 gains no bit per degree: nothing below refuses
         return
     for p in [value.num, value.den] if isinstance(value, RationalFn) else [XPoly.coerce(value)]:
         d = p.degree if lam is None else p.lambda_degree
